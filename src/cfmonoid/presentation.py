@@ -194,17 +194,36 @@ def presentation_to_json(p: Presentation) -> str:
     return json.dumps(data, indent=1)
 
 
+def _int_array(value, shape: tuple, lo: int, hi: int, name: str) -> tuple:
+    """Nested lists of exactly the given shape with integer entries in lo..hi, as tuples."""
+    if not isinstance(value, list) or len(value) != shape[0]:
+        dims = "x".join(map(str, shape))
+        raise ValueError(f"invalid presentation file: {name} must be a {dims} array")
+    if len(shape) > 1:
+        return tuple(_int_array(v, shape[1:], lo, hi, name) for v in value)
+    for v in value:
+        if type(v) is not int or not lo <= v <= hi:
+            raise ValueError(f"invalid presentation file: {name} entry {v!r} is not an integer in {lo}..{hi}")
+    return tuple(value)
+
+
 def presentation_from_json(text: str) -> Presentation:
-    """Load a serialized presentation verbatim; stored rules are not regenerated."""
+    """Load a serialized presentation verbatim; stored rules are not regenerated.
+
+    The shapes are checked: n >= 1, table n x n with entries in 1..n, and
+    coloring (n+1) x n x (n+1) with entries 0 or 1.  Any malformed field
+    raises ValueError.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"invalid presentation JSON: {e}") from None
     try:
-        n = int(data["n"])
-        table = CayleyTable(n, tuple(tuple(row) for row in data["table"]))
-        bits = tuple(tuple(tuple(row) for row in plane) for plane in data["coloring"])
-        coloring = Coloring(n, bits)
+        n = data["n"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"invalid presentation file: n must be a positive integer, got {n!r}")
+        table = CayleyTable(n, _int_array(data["table"], (n, n), 1, n, "table"))
+        coloring = Coloring(n, _int_array(data["coloring"], (n + 1, n, n + 1), 0, 1, "coloring"))
         rules = tuple(
             Rule(
                 tuple(_parse_token(t, n) for t in r["lhs"]),

@@ -6,6 +6,7 @@ Every rule strictly reduces word length, so rewriting terminates in at most
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .presentation import EMPTY_WORD, Presentation, Rule, Word, alphabet
@@ -59,72 +60,79 @@ def is_normal_form(w: Word, p: Presentation) -> bool:
     return find_redex(w, p) is None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriticalPair:
+    """Two one-step rewrites of one overlap word.
+
+    rule_left rewrites the overlap at offset 0 to left_reduct; rule_right
+    rewrites it at offset pos_right to right_reduct.
+    """
+
     overlap: Word
     left_reduct: Word
     right_reduct: Word
     rule_left: Rule
     rule_right: Rule
-    pos_left: int
     pos_right: int
-    joinable: bool | None = None
 
 
 def critical_pairs(p: Presentation) -> list:
     """All minimal overlaps between rule left-hand sides.
 
     Covers proper suffix-prefix overlaps and containment of one lhs inside
-    another; with the generated rule set only proper overlaps occur.
+    another; with the generated rule set only proper overlaps occur.  Two maps
+    are built once, proper prefix -> rules and whole lhs -> rules (an
+    Aho-Corasick-style index over the left sides).  For each rule r1, every
+    proper suffix of its lhs is looked up in the first (the overlaps) and every
+    shorter factor in the second (the containments).  Over R rules that is
+    O(R * |lhs|^2) lookups plus O(#pairs) to build the pairs, instead of
+    comparing all R^2 rule pairs.
+
+    Pairs are ordered by r1, then r2, in rule order (each rule's hits are
+    sorted); for one (r1, r2) the overlaps come first by overlap length, then
+    the containments by offset.
     """
+    rules = p.rules
+    by_prefix = defaultdict(list)
+    by_lhs = defaultdict(list)
+    for j, r in enumerate(rules):
+        by_lhs[r.lhs].append(j)
+        for o in range(1, len(r.lhs)):
+            by_prefix[r.lhs[:o]].append(j)
     pairs = []
-    for r1 in p.rules:
+    for r1 in rules:
         l1 = r1.lhs
         n1 = len(l1)
-        for r2 in p.rules:
-            l2 = r2.lhs
-            for o in range(1, min(n1, len(l2))):
-                if l1[n1 - o:] == l2[:o]:
-                    pairs.append(
-                        CriticalPair(
-                            l1 + l2[o:],
-                            r1.rhs + l2[o:],
-                            l1[:n1 - o] + r2.rhs,
-                            r1,
-                            r2,
-                            0,
-                            n1 - o,
-                        )
-                    )
-            if len(l2) < n1:
-                for t in range(n1 - len(l2) + 1):
-                    if l1[t:t + len(l2)] == l2:
-                        pairs.append(
-                            CriticalPair(
-                                l1,
-                                r1.rhs,
-                                l1[:t] + r2.rhs + l1[t + len(l2):],
-                                r1,
-                                r2,
-                                0,
-                                t,
-                            )
-                        )
+        hits = []  # (r2 index, 0 overlap / 1 containment, overlap length / offset)
+        for o in range(1, n1):
+            hits.extend((j, 0, o) for j in by_prefix.get(l1[n1 - o:], ()))
+        for width in range(1, n1):
+            for t in range(n1 - width + 1):
+                hits.extend((j, 1, t) for j in by_lhs.get(l1[t:t + width], ()))
+        hits.sort()
+        for j, contained, k in hits:
+            r2 = rules[j]
+            if contained:
+                right = l1[:k] + r2.rhs + l1[k + len(r2.lhs):]
+                pairs.append(CriticalPair(l1, r1.rhs, right, r1, r2, k))
+            else:
+                tail = r2.lhs[k:]
+                pairs.append(CriticalPair(l1 + tail, r1.rhs + tail, l1[:n1 - k] + r2.rhs, r1, r2, n1 - k))
     return pairs
 
 
 def check_local_confluence(p: Presentation):
-    """Join every critical pair.
+    """Join the critical pairs until one fails.
 
-    Returns (all_joinable, first_failure, pairs) with each pair's joinable
-    flag filled in; first_failure is None when the system is confluent.
+    Returns (all_joinable, first_failure, pairs); first_failure is the first
+    pair, in critical_pairs order, whose reducts have different normal forms,
+    or None when the system is confluent.
     """
     pairs = critical_pairs(p)
-    first_bad = None
-    for cp in pairs:
-        cp.joinable = normal_form(cp.left_reduct, p) == normal_form(cp.right_reduct, p)
-        if not cp.joinable and first_bad is None:
-            first_bad = cp
+    first_bad = next(
+        (cp for cp in pairs if normal_form(cp.left_reduct, p) != normal_form(cp.right_reduct, p)),
+        None,
+    )
     return first_bad is None, first_bad, pairs
 
 

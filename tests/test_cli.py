@@ -159,6 +159,38 @@ def test_check_embed_tampered_exits_1(z2_pres, tmp_path, capsys):
     assert "s1 s1" in captured.out
 
 
+def _short_row(data):
+    data["table"][0] = data["table"][0][:1]
+
+
+def _n_off_by_one(data):
+    data["n"] += 1
+
+
+def _short_coloring_plane(data):
+    data["coloring"][0] = data["coloring"][0][:-1]
+
+
+def _table_entry_out_of_range(data):
+    data["table"][1][1] = data["n"] + 1
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_short_row, _n_off_by_one, _short_coloring_plane, _table_entry_out_of_range]
+)
+def test_check_embed_malformed_presentation_exits_2(z2_pres, tmp_path, capsys, corrupt):
+    data = json.loads(z2_pres.read_text())
+    corrupt(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["check-embed", "--pres", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: invalid presentation file")
+    assert "Traceback" not in captured.err
+
+
 def test_collapse_and_verify_roundtrip(z2_pres, tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     rc = main(["collapse", "--pres", str(z2_pres), "s1", "s2", "--out", str(trace)])

@@ -1,4 +1,6 @@
 import itertools
+import time
+from collections import Counter
 
 from cfmonoid.coloring import build_coloring
 from cfmonoid.presentation import (
@@ -13,6 +15,7 @@ from cfmonoid.presentation import (
     generate_presentation,
 )
 from cfmonoid.rewrite import (
+    CriticalPair,
     check_local_confluence,
     critical_pairs,
     enumerate_normal_forms,
@@ -20,7 +23,7 @@ from cfmonoid.rewrite import (
     is_normal_form,
     normal_form,
 )
-from cfmonoid.semigroup import CayleyTable, builtin
+from cfmonoid.semigroup import BUILTIN_NAMES, CayleyTable, builtin
 
 
 def _pres(name):
@@ -193,9 +196,9 @@ def test_reduct_positions_are_genuine():
     p = _pres("z2")
     for cp in critical_pairs(p):
         l1, l2 = cp.rule_left.lhs, cp.rule_right.lhs
-        assert cp.overlap[cp.pos_left:cp.pos_left + len(l1)] == l1
+        assert cp.overlap[:len(l1)] == l1
         assert cp.overlap[cp.pos_right:cp.pos_right + len(l2)] == l2
-        rebuilt_left = cp.overlap[:cp.pos_left] + cp.rule_left.rhs + cp.overlap[cp.pos_left + len(l1):]
+        rebuilt_left = cp.rule_left.rhs + cp.overlap[len(l1):]
         rebuilt_right = cp.overlap[:cp.pos_right] + cp.rule_right.rhs + cp.overlap[cp.pos_right + len(l2):]
         assert rebuilt_left == cp.left_reduct
         assert rebuilt_right == cp.right_reduct
@@ -203,9 +206,12 @@ def test_reduct_positions_are_genuine():
 
 def test_builtins_locally_confluent():
     for name in ("trivial", "leftzero2", "z2"):
-        ok, bad, pairs = check_local_confluence(_pres(name))
+        p = _pres(name)
+        ok, bad, pairs = check_local_confluence(p)
         assert ok and bad is None
-        assert all(cp.joinable for cp in pairs)
+        assert pairs == critical_pairs(p)
+        for cp in pairs:
+            assert normal_form(cp.left_reduct, p) == normal_form(cp.right_reduct, p)
 
 
 def test_non_associative_table_not_confluent():
@@ -229,6 +235,87 @@ def test_flipped_b_rule_still_locally_confluent():
     q = Presentation(p.n, p.table, p.coloring, tuple(rules))
     ok, _, _ = check_local_confluence(q)
     assert ok
+
+
+def _cyclic(n):
+    return CayleyTable(n, tuple(tuple((i + j) % n + 1 for j in range(n)) for i in range(n)))
+
+
+def _critical_pairs_reference(p):
+    # every rule against every rule, O(R^2): the reference critical_pairs must match
+    pairs = []
+    for r1 in p.rules:
+        l1 = r1.lhs
+        n1 = len(l1)
+        for r2 in p.rules:
+            l2 = r2.lhs
+            for o in range(1, min(n1, len(l2))):
+                if l1[n1 - o:] == l2[:o]:
+                    pairs.append(
+                        CriticalPair(l1 + l2[o:], r1.rhs + l2[o:], l1[:n1 - o] + r2.rhs, r1, r2, n1 - o)
+                    )
+            if len(l2) < n1:
+                for t in range(n1 - len(l2) + 1):
+                    if l1[t:t + len(l2)] == l2:
+                        pairs.append(
+                            CriticalPair(l1, r1.rhs, l1[:t] + r2.rhs + l1[t + len(l2):], r1, r2, t)
+                        )
+    return pairs
+
+
+def _with_rules(p, extra):
+    return Presentation(p.n, p.table, p.coloring, p.rules + tuple(extra))
+
+
+def test_critical_pairs_match_all_pairs_reference():
+    presentations = [_pres(name) for name in BUILTIN_NAMES]
+    presentations.append(generate_presentation(_cyclic(8), build_coloring(8)))
+    presentations.append(_generate_unchecked(CayleyTable(2, ((2, 1), (1, 1))), build_coloring(2)))
+    z2 = _pres("z2")
+    b_rules = [r for r in z2.rules if r.family == "B"]
+    flipped = Rule(b_rules[0].lhs, ZERO_WORD if b_rules[0].rhs == EMPTY_WORD else EMPTY_WORD, "B")
+    presentations.append(
+        Presentation(z2.n, z2.table, z2.coloring, tuple(flipped if r == b_rules[0] else r for r in z2.rules))
+    )
+    # generated rules never contain one another: 4-letter left sides that
+    # contain the A lhs s1 s2 and the C lhs x1 y2, or both overlap and contain
+    # s1 s1 (at three offsets), a duplicate B lhs, and a one-letter lhs that
+    # sits inside many others
+    presentations.append(
+        _with_rules(z2, [
+            Rule(parse_word("s1 s2 x1 y2", 2), ZERO_WORD, "C"),
+            Rule(parse_word("s1 s1 s1 s1", 2), parse_word("s1", 2), "A"),
+            flipped,
+            Rule(parse_word("y3", 2), EMPTY_WORD, "C"),
+        ])
+    )
+    for p in presentations:
+        assert critical_pairs(p) == _critical_pairs_reference(p)
+
+
+def test_z16_local_confluence_is_practical():
+    n = 16
+    p = generate_presentation(_cyclic(n), build_coloring(n))
+    t0 = time.monotonic()
+    ok, bad, pairs = check_local_confluence(p)
+    elapsed = time.monotonic() - t0
+    assert ok and bad is None
+    a, b = n, n + 1
+    letters = a + 2 * b
+    assert Counter((cp.rule_left.family, cp.rule_right.family) for cp in pairs) == {
+        ("A", "A"): a ** 3,
+        ("A", "Z_right"): a * a,
+        ("B", "Z_right"): a * b * b,
+        ("C", "Z_right"): b * b,
+        ("Z_left", "A"): a * a,
+        ("Z_left", "B"): a * b * b,
+        ("Z_left", "C"): b * b,
+        ("Z_left", "Z_right"): letters,
+        ("Z_right", "Z_left"): (letters + 1) * letters,
+        ("Z_right", "Z_right"): letters + 1,
+    }
+    assert len(pairs) == 17085
+    assert elapsed < 5.0, f"check_local_confluence at n=16 took {elapsed:.2f}s"
 
 
 # ----------------------------------------------------- all-strategy uniqueness
