@@ -45,7 +45,6 @@ from .rewrite import (
     check_local_confluence,
     critical_pairs,
     enumerate_normal_forms,
-    find_redex,
     is_normal_form,
     normal_form,
 )

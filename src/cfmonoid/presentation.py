@@ -3,7 +3,8 @@
 A letter is a (role, index) pair with role one of "s", "x", "y", "z"; the zero
 letter z carries index 0.  A word is a tuple of letters; the empty tuple is
 the monoid identity.  Rules come in five families, all strictly
-length-reducing:
+length-reducing; Rule accepts only left sides of 2 or 3 letters and right
+sides of at most 1, the shapes the rewriting engine is built for:
 
   A:       s_i s_j     -> s_{t(i,j)}   (the Cayley table)
   B:       x_i s_j y_k -> 1 or 0       (the coloring decides)
@@ -98,8 +99,11 @@ class Rule:
     family: str
 
     def __post_init__(self):
-        if len(self.rhs) >= len(self.lhs):
-            raise ValueError(f"rule must be length-reducing: {self.lhs} -> {self.rhs}")
+        if len(self.lhs) not in (2, 3) or len(self.rhs) > 1:
+            raise ValueError(
+                "rule must be length-reducing with a left side of 2 or 3 letters and a right side"
+                f" of at most 1: {format_word(self.lhs)} -> {format_word(self.rhs)}"
+            )
         if self.family not in RULE_FAMILIES:
             raise ValueError(f"unknown rule family {self.family!r}")
 

@@ -1,7 +1,10 @@
 """Normal forms, critical pairs, and local confluence.
 
-Every rule strictly reduces word length, so rewriting terminates in at most
-|w| steps and local confluence of the critical pairs implies confluence.
+The rule left sides, p.lhs_map, are the one definition of the normal-form
+language: a word is a normal form iff none of them occurs in it, and
+normal_form is the only code that applies the rules.  Every rule strictly
+reduces word length, so rewriting terminates in at most |w| steps and local
+confluence of the critical pairs implies confluence.
 """
 
 from __future__ import annotations
@@ -12,52 +15,43 @@ from dataclasses import dataclass
 from .presentation import EMPTY_WORD, Presentation, Rule, Word, alphabet
 
 
-def find_redex(w: Word, p: Presentation):
-    """Leftmost redex, shortest lhs first on position ties.
-
-    Returns (position, lhs, rhs) or None if w is irreducible.
-    """
-    m = p.lhs_map
-    end = len(w)
-    for pos in range(end):
-        for width in (2, 3):
-            if pos + width > end:
-                break
-            rhs = m.get(w[pos:pos + width])
-            if rhs is not None:
-                return pos, w[pos:pos + width], rhs
-    return None
-
-
 def normal_form(w: Word, p: Presentation) -> Word:
-    """Reduce w to its irreducible form under the leftmost strategy."""
-    m = p.lhs_map
-    letters = list(w)
-    pos = 0
-    end = len(letters)
-    while pos < end:
-        width = 0
-        if pos + 2 <= end:
-            rhs = m.get((letters[pos], letters[pos + 1]))
-            if rhs is not None:
-                width = 2
-            elif pos + 3 <= end:
-                rhs = m.get((letters[pos], letters[pos + 1], letters[pos + 2]))
-                if rhs is not None:
-                    width = 3
-        if width == 0:
-            pos += 1
-            continue
-        letters[pos:pos + width] = rhs
-        end = len(letters)
-        # a new redex can start at most two letters back
-        pos = pos - 2 if pos > 2 else 0
-    return tuple(letters)
+    """Reduce w to its irreducible form in one left-to-right pass.
+
+    The output stack never holds a redex.  Each input letter c is tried with
+    the top two stack letters, then with the top one; on a hit the matched
+    letters are popped and the rule's right side, if any, becomes c and is
+    tried again, otherwise c is pushed.  Every left side has 2 or 3 letters
+    and every right side at most 1 (Rule checks this), so each letter is
+    pushed and popped at most once and the pass is O(|w|).  Each step
+    rewrites the leftmost redex of the current word, the shorter one where
+    two start at the same letter, so even a system that is not confluent
+    gets the leftmost strategy's result.
+    """
+    get = p.lhs_map.get
+    out = []
+    for c in w:
+        while True:
+            if len(out) > 1 and (rhs := get((out[-2], out[-1], c))) is not None:
+                del out[-2:]
+            elif out and (rhs := get((out[-1], c))) is not None:
+                del out[-1]
+            else:
+                out.append(c)
+                break
+            if not rhs:
+                break
+            c = rhs[0]
+    return tuple(out)
 
 
 def is_normal_form(w: Word, p: Presentation) -> bool:
-    """True iff no rule left-hand side occurs as a factor of w."""
-    return find_redex(w, p) is None
+    """True iff no rule left-hand side occurs as a factor of w.
+
+    Every rule shortens the word, so w is irreducible iff it is its own
+    normal form.
+    """
+    return normal_form(w, p) == w
 
 
 @dataclass(frozen=True)
@@ -136,37 +130,29 @@ def check_local_confluence(p: Presentation):
     return first_bad is None, first_bad, pairs
 
 
-def _extends_normal(w: Word, a) -> bool:
-    # appending a to a normal form stays normal iff no factor ss, xy or xsy
-    # appears at the new end
-    if not w:
-        return True
-    b = w[-1][0]
-    r = a[0]
-    if b == "s" and r == "s":
-        return False
-    if b == "x" and r == "y":
-        return False
-    if b == "s" and r == "y" and len(w) >= 2 and w[-2][0] == "x":
-        return False
-    return True
-
-
 def enumerate_normal_forms(p: Presentation, maxlen: int) -> list:
     """Nonzero normal forms of length <= maxlen, in length-lexicographic order.
 
     Includes the empty word, excludes the zero word; callers that need the
-    zero add it themselves.
+    zero add it themselves.  A negative maxlen raises ValueError.
     """
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be non-negative, got {maxlen}")
+    # left side minus its last letter -> the letters that complete it; a
+    # normal form w extends by a iff a completes neither its last one nor
+    # its last two letters
+    completes = defaultdict(set)
+    for lhs in p.lhs_map:
+        completes[lhs[:-1]].add(lhs[-1])
+    no_letters = frozenset()
     letters = alphabet(p.n)
     out = [EMPTY_WORD]
     layer = [EMPTY_WORD]
     for _ in range(maxlen):
         nxt = []
         for w in layer:
-            for a in letters:
-                if _extends_normal(w, a):
-                    nxt.append(w + (a,))
+            banned = completes.get(w[-1:], no_letters) | completes.get(w[-2:], no_letters)
+            nxt.extend(w + (a,) for a in letters if a not in banned)
         out.extend(nxt)
         layer = nxt
     return out

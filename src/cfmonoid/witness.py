@@ -11,15 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .coloring import check_conditions
 from .presentation import (
     EMPTY_WORD,
+    ColoringConditionError,
     Presentation,
     Word,
     ZERO_WORD,
     format_word,
     parse_word,
 )
-from .rewrite import normal_form
+from .rewrite import is_normal_form, normal_form
 
 _TERMINAL = ((EMPTY_WORD, ZERO_WORD), (ZERO_WORD, EMPTY_WORD))
 
@@ -37,95 +39,34 @@ class WitnessTrace:
     steps: tuple
 
 
-def _has_forbidden_factor(w: Word) -> bool:
-    # normal forms other than the zero word are exactly the z-free words
-    # avoiding the factors ss, xy and xsy
-    end = len(w)
-    for t in range(end):
-        role = w[t][0]
-        if role == "z":
-            return True
-        if t + 1 < end:
-            nxt = w[t + 1][0]
-            if role == "s" and nxt == "s":
-                return True
-            if role == "x" and nxt == "y":
-                return True
-            if role == "x" and nxt == "s" and t + 2 < end and w[t + 2][0] == "y":
-                return True
-    return False
-
-
-def _check_normal(w: Word, what: str = "word") -> None:
-    if w != ZERO_WORD and _has_forbidden_factor(w):
+def _check_normal(w: Word, p: Presentation, what: str = "word") -> None:
+    if not is_normal_form(w, p):
         raise ValueError(f"{what} is not a normal form: {format_word(w)}")
 
 
-def decompose(w: Word):
+def decompose(w: Word, p: Presentation):
     """Split a nonzero normal form as P Q with P x-free and Q empty or x-initial.
 
     The split point is the first x.  In a normal form no y can follow an x
-    (the factors xy, xsy and ss are forbidden), so Q is y-free and the
-    decomposition is unique.
+    (the factors xy, xsy and ss are left sides of rules), so Q is y-free and
+    the decomposition is unique.
     """
     if w == ZERO_WORD:
         raise ValueError("the zero word has no such decomposition")
-    if _has_forbidden_factor(w):
-        raise ValueError(f"not a normal form: {format_word(w)}")
+    _check_normal(w, p)
     for t, letter in enumerate(w):
         if letter[0] == "x":
             return w[:t], w[t:]
     return w, EMPTY_WORD
 
 
-def _first_k(f, i, j, size):
-    # smallest y-index colored 1 over (i, j); exists by C1
-    for k in range(1, size + 1):
-        if f(i, j, k) == 1:
-            return k
-    raise RuntimeError(f"coloring violates C1 at ({i}, {j})")
-
-
-def _first_k0(f, i, j, size):
-    # smallest y-index colored 0; exists by C3
-    for k in range(1, size + 1):
-        if f(i, j, k) == 0:
-            return k
-    raise RuntimeError(f"coloring violates C3 at ({i}, {j})")
-
-
-def _first_i(f, j, k, size):
-    # smallest x-index colored 1 over (j, k); exists by C2
-    for i in range(1, size + 1):
-        if f(i, j, k) == 1:
-            return i
-    raise RuntimeError(f"coloring violates C2 at ({j}, {k})")
-
-
-def _first_i0(f, j, k, size):
-    # smallest x-index colored 0; exists by C4
-    for i in range(1, size + 1):
-        if f(i, j, k) == 0:
-            return i
-    raise RuntimeError(f"coloring violates C4 at ({j}, {k})")
-
-
-def _diff_k(f, pair_a, pair_b, size):
-    # smallest y-index separating two (x-index, s-index) pairs; exists by C5
-    (i, j), (p, q) = pair_a, pair_b
-    for k in range(1, size + 1):
-        if f(i, j, k) != f(p, q, k):
-            return k
-    raise RuntimeError(f"coloring violates C5 at {pair_a} vs {pair_b}")
-
-
-def _diff_i(f, pair_a, pair_b, size):
-    # smallest x-index separating two (s-index, y-index) pairs; exists by C6
-    (j, k), (t, r) = pair_a, pair_b
-    for i in range(1, size + 1):
-        if f(i, j, k) != f(i, t, r):
-            return i
-    raise RuntimeError(f"coloring violates C6 at {pair_a} vs {pair_b}")
+def _least(p: Presentation, hit) -> int:
+    # smallest x- or y-index t in 1..n+1 with hit(t); C1..C6 promise one for
+    # every search below, so a coloring that breaks them raises its report
+    for t in range(1, p.n + 2):
+        if hit(t):
+            return t
+    raise ColoringConditionError(check_conditions(p.coloring))
 
 
 def unit_context(w: Word, p: Presentation):
@@ -141,34 +82,33 @@ def unit_context(w: Word, p: Presentation):
     if w == ZERO_WORD:
         raise ValueError("the zero word has no unit context")
     f = p.coloring.get
-    size = p.n + 1
-    prefix, rest = decompose(w)
+    prefix, rest = decompose(w, p)
     b = []
     while rest:
         role, idx = rest[-1]
         if role == "x":
-            k = _first_k(f, idx, 1, size)
+            k = _least(p, lambda k: f(idx, 1, k))
             b += [("s", 1), ("y", k)]
             rest = rest[:-1]
         else:
             i = rest[-2][1]
-            k = _first_k(f, i, idx, size)
+            k = _least(p, lambda k: f(i, idx, k))
             b.append(("y", k))
             rest = rest[:-2]
     a = []
     while prefix:
         role, idx = prefix[0]
         if role == "y":
-            i = _first_i(f, 1, idx, size)
+            i = _least(p, lambda i: f(i, 1, idx))
             a = [("x", i), ("s", 1)] + a
             prefix = prefix[1:]
         elif len(prefix) >= 2:
             k = prefix[1][1]
-            i = _first_i(f, idx, k, size)
+            i = _least(p, lambda i: f(i, idx, k))
             a = [("x", i)] + a
             prefix = prefix[2:]
         else:
-            k = _first_k(f, 1, idx, size)
+            k = _least(p, lambda k: f(1, idx, k))
             a = [("x", 1)] + a
             b.append(("y", k))
             prefix = EMPTY_WORD
@@ -201,10 +141,9 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
     """
     if u == v:
         raise ValueError("identical inputs generate no congruence")
-    _check_normal(u, "left word")
-    _check_normal(v, "right word")
+    _check_normal(u, p, "left word")
+    _check_normal(v, p, "right word")
     f = p.coloring.get
-    size = p.n + 1
     steps = [WitnessStep((u, v), ("GEN",), "generator pair")]
     left, right = u, v
 
@@ -254,23 +193,23 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
             ri, rj = _end_pair(right)
             if lj is not None and rj is not None:
                 if (li, lj) == (ri, rj):
-                    k = _first_k(f, li, lj, size)
+                    k = _least(p, lambda k: f(li, lj, k))
                     note = f"both end x s, equal pairs: strip with y{k} (C1)"
                 else:
-                    k = _diff_k(f, (li, lj), (ri, rj), size)
+                    k = _least(p, lambda k: f(li, lj, k) != f(ri, rj, k))
                     note = f"both end x s, distinct pairs: split with y{k} (C5)"
                 g = (("y", k),)
             elif lj is None and rj is None:
                 if li == ri:
-                    k = _first_k(f, li, 1, size)
+                    k = _least(p, lambda k: f(li, 1, k))
                     note = f"both end x, equal index: strip with s1 y{k} (C1)"
                 else:
-                    k = _diff_k(f, (li, 1), (ri, 1), size)
+                    k = _least(p, lambda k: f(li, 1, k) != f(ri, 1, k))
                     note = f"both end x, distinct indices: split with s1 y{k} (C5)"
                 g = (("s", 1), ("y", k))
             else:
                 i, j = (li, lj) if lj is not None else (ri, rj)
-                k = _first_k(f, i, j, size)
+                k = _least(p, lambda k: f(i, j, k))
                 note = f"mixed ends: y{k} strips the x s side, zeroes the bare x (C1)"
                 g = (("y", k),)
             multiply_right(g, note)
@@ -282,23 +221,23 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
             rj, rk = _start_pair(right)
             if lj is not None and rj is not None:
                 if (lj, lk) == (rj, rk):
-                    i = _first_i(f, lj, lk, size)
+                    i = _least(p, lambda i: f(i, lj, lk))
                     note = f"both start s y, equal pairs: strip with x{i} (C2)"
                 else:
-                    i = _diff_i(f, (lj, lk), (rj, rk), size)
+                    i = _least(p, lambda i: f(i, lj, lk) != f(i, rj, rk))
                     note = f"both start s y, distinct pairs: split with x{i} (C6)"
                 g = (("x", i),)
             elif lj is None and rj is None:
                 if lk == rk:
-                    i = _first_i(f, 1, lk, size)
+                    i = _least(p, lambda i: f(i, 1, lk))
                     note = f"both start y, equal index: strip with x{i} s1 (C2)"
                 else:
-                    i = _diff_i(f, (1, lk), (1, rk), size)
+                    i = _least(p, lambda i: f(i, 1, lk) != f(i, 1, rk))
                     note = f"both start y, distinct indices: split with x{i} s1 (C6)"
                 g = (("x", i), ("s", 1))
             else:
                 j, k = (lj, lk) if lj is not None else (rj, rk)
-                i = _first_i(f, j, k, size)
+                i = _least(p, lambda i: f(i, j, k))
                 note = f"mixed starts: x{i} strips the s y side, zeroes the bare y (C2)"
                 g = (("x", i),)
             multiply_left(g, note)
@@ -313,7 +252,7 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
                 k = i
                 note = f"single x side ending x{i}: y{i} zeroes it"
             else:
-                k = _first_k0(f, i, j, size)
+                k = _least(p, lambda k: not f(i, j, k))
                 note = f"single x side ending x{i} s{j}: y{k} colored 0 zeroes it (C3)"
             multiply_right((("y", k),), note)
             rewrite(note)
@@ -327,7 +266,7 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
                 i = k
                 note = f"single y side starting y{k}: x{k} zeroes it"
             else:
-                i = _first_i0(f, j, k, size)
+                i = _least(p, lambda i: not f(i, j, k))
                 note = f"single y side starting s{j} y{k}: x{i} colored 0 zeroes it (C4)"
             multiply_left((("x", i),), note)
             rewrite(note)
@@ -338,10 +277,10 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
         sr = right[0][1] if right else None
         if sl is None or sr is None:
             j = sl if sl is not None else sr
-            k = _first_k(f, 1, j, size)
+            k = _least(p, lambda k: f(1, j, k))
             note = f"identity vs s{j}: wrap x1 .. y{k} (C1)"
         else:
-            k = _diff_k(f, (1, sl), (1, sr), size)
+            k = _least(p, lambda k: f(1, sl, k) != f(1, sr, k))
             note = f"s{sl} vs s{sr}: wrap x1 .. y{k} (C5)"
         multiply_left((("x", 1),), note)
         multiply_right((("y", k),), note)

@@ -259,3 +259,55 @@ def test_usage_error():
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, command",
+    [
+        ("s1", "", ["nf", "s1"]),
+        ("s1", "", ["check-embed"]),
+        ("x1 x1 x1 x1", "0", ["nf", "x1 x1 x1 x1"]),
+        ("x1 s1 s1", "s1 s1", ["nf", "x1 s1 s1"]),
+    ],
+    ids=["1-letter-lhs-nf", "1-letter-lhs-check-embed", "4-letter-lhs-nf", "2-letter-rhs-nf"],
+)
+def test_rule_outside_the_engine_shapes_exits_2(z2_pres, tmp_path, capsys, lhs, rhs, command):
+    # the reducer applies left sides of 2 or 3 letters with right sides of at
+    # most one; a file with any other rule is rejected, not silently half-used
+    data = json.loads(z2_pres.read_text())
+    data["rules"].append({"family": "C", "lhs": lhs.split(), "rhs": rhs.split()})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main([command[0], "--pres", str(bad), *command[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "length-reducing" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_collapse_on_coloring_failing_c1_exits_4(z2_pres, tmp_path, capsys):
+    # the fiber (1, 1, .) colored 0 everywhere breaks C1; collapse needs a
+    # y-index colored 1 over (x1, s1) and reports the conditions instead
+    data = json.loads(z2_pres.read_text())
+    data["coloring"][0][0] = [0] * len(data["coloring"][0][0])
+    for r in data["rules"]:
+        if r["family"] == "B" and r["lhs"][:2] == ["x1", "s1"]:
+            r["rhs"] = ["0"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["collapse", "--pres", str(bad), "x1 s1", "x1"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err.startswith("error: coloring fails C1")
+    assert "Traceback" not in captured.err
+
+
+def test_enumerate_negative_maxlen_exits_2(trivial_pres, capsys):
+    rc = main(["enumerate", "--pres", str(trivial_pres), "--maxlen", "-3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "maxlen" in captured.err

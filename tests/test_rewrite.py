@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from collections import Counter
 
@@ -19,7 +20,6 @@ from cfmonoid.rewrite import (
     check_local_confluence,
     critical_pairs,
     enumerate_normal_forms,
-    find_redex,
     is_normal_form,
     normal_form,
 )
@@ -119,12 +119,91 @@ def test_factor_characterization():
         assert is_normal_form(w, p) == by_shape(w), w
 
 
-def test_find_redex_leftmost():
-    p = _pres("trivial")
-    pos, lhs, rhs = find_redex(parse_word("s1 x1 y1 x1 y1", 1), p)
-    assert pos == 1
-    assert lhs == parse_word("x1 y1", 1)
-    assert rhs == ZERO_WORD
+def _normal_form_reference(w, p):
+    # the splice reducer normal_form replaced: leftmost redex, the shorter left
+    # side first on position ties, spliced in place, then back up two letters
+    m = p.lhs_map
+    letters = list(w)
+    pos = 0
+    end = len(letters)
+    while pos < end:
+        width = 0
+        if pos + 2 <= end:
+            rhs = m.get((letters[pos], letters[pos + 1]))
+            if rhs is not None:
+                width = 2
+            elif pos + 3 <= end:
+                rhs = m.get((letters[pos], letters[pos + 1], letters[pos + 2]))
+                if rhs is not None:
+                    width = 3
+        if width == 0:
+            pos += 1
+            continue
+        letters[pos:pos + width] = rhs
+        end = len(letters)
+        pos = pos - 2 if pos > 2 else 0
+    return tuple(letters)
+
+
+def _tampered(p, rng, count):
+    # count rules get a random right side of at most one letter, and count
+    # random 2- and 3-letter left sides are added (often a suffix or prefix
+    # of another left side), so the system is typically no longer confluent
+    # and the rewrite order shows
+    rules = list(p.rules)
+    letters = alphabet(p.n, include_zero=True)
+
+    def rhs():
+        return rng.choice([EMPTY_WORD, (rng.choice(letters),)])
+
+    for idx in rng.sample(range(len(rules)), count):
+        r = rules[idx]
+        rules[idx] = Rule(r.lhs, rhs(), r.family)
+    for _ in range(count):
+        lhs = tuple(rng.choice(letters[:-1]) for _ in range(rng.choice((2, 3))))
+        rules.append(Rule(lhs, rhs(), "C"))
+    return Presentation(p.n, p.table, p.coloring, tuple(rules))
+
+
+def test_normal_form_matches_reference_on_all_short_words():
+    for name in ("trivial", "z2"):
+        p = _pres(name)
+        for w in _all_words(p, 5):
+            assert normal_form(w, p) == _normal_form_reference(w, p), format_word(w)
+
+
+def test_normal_form_matches_reference_on_random_words():
+    rng = random.Random(20130122)
+    presentations = [_pres(name) for name in BUILTIN_NAMES]
+    presentations.append(generate_presentation(_cyclic(8), build_coloring(8)))
+    tampered = [_tampered(p, rng, 6) for p in presentations for _ in range(3)]
+    # the rewrite order only shows on systems that are not confluent
+    assert sum(not check_local_confluence(q)[0] for q in tampered) >= len(tampered) // 2
+    for p in presentations + tampered:
+        letters = alphabet(p.n, include_zero=True)
+        lengths = [rng.randint(0, 12) for _ in range(400)] + [rng.randint(50, 400) for _ in range(20)]
+        for length in lengths:
+            # mostly non-zero letters, so words rewrite a while before z absorbs them
+            w = tuple(rng.choice(letters[:-1]) if rng.random() < 0.97 else letters[-1] for _ in range(length))
+            assert normal_form(w, p) == _normal_form_reference(w, p), format_word(w)
+
+
+def test_normal_form_is_linear():
+    # the splice reducer took ~8 s on these two words; a single pass takes well under 1 s
+    p = _pres("z2")
+    s1, x1, y1 = ("s", 1), ("x", 1), ("y", 1)
+    k = 100000
+    power = 1
+    for _ in range(2 * k - 1):
+        power = p.table.mul(power, 1)
+    t0 = time.monotonic()
+    got_s = normal_form((s1,) * (2 * k), p)
+    got_xsy = normal_form((x1,) * k + (s1,) + (y1,) * k, p)
+    elapsed = time.monotonic() - t0
+    assert got_s == (("s", power),)
+    # x1 s1 y1 rewrites to 1 or 0, and 1 leaves x1 y1 -> 0, so the word is 0
+    assert got_xsy == ZERO_WORD
+    assert elapsed < 2.0, f"s1^200000 and x1^100000 s1 y1^100000 took {elapsed:.2f}s"
 
 
 # ------------------------------------------------------------- critical pairs
@@ -277,20 +356,21 @@ def test_critical_pairs_match_all_pairs_reference():
     presentations.append(
         Presentation(z2.n, z2.table, z2.coloring, tuple(flipped if r == b_rules[0] else r for r in z2.rules))
     )
-    # generated rules never contain one another: 4-letter left sides that
-    # contain the A lhs s1 s2 and the C lhs x1 y2, or both overlap and contain
-    # s1 s1 (at three offsets), a duplicate B lhs, and a one-letter lhs that
-    # sits inside many others
+    # generated rules never contain one another: 3-letter left sides that
+    # contain the C lhs x1 y2 or the A lhs s1 s2, or both overlap and contain
+    # s1 s1 (at two offsets), and a duplicate B lhs
     presentations.append(
         _with_rules(z2, [
-            Rule(parse_word("s1 s2 x1 y2", 2), ZERO_WORD, "C"),
-            Rule(parse_word("s1 s1 s1 s1", 2), parse_word("s1", 2), "A"),
+            Rule(parse_word("s2 x1 y2", 2), ZERO_WORD, "C"),
+            Rule(parse_word("s1 s1 s1", 2), parse_word("s1", 2), "A"),
+            Rule(parse_word("y3 s1 s2", 2), EMPTY_WORD, "C"),
             flipped,
-            Rule(parse_word("y3", 2), EMPTY_WORD, "C"),
         ])
     )
     for p in presentations:
         assert critical_pairs(p) == _critical_pairs_reference(p)
+    containments = [cp for cp in critical_pairs(presentations[-1]) if cp.overlap == cp.rule_left.lhs]
+    assert len(containments) >= 1
 
 
 def test_z16_local_confluence_is_practical():
@@ -361,6 +441,17 @@ def test_enumerate_matches_brute_force_filter():
     assert got == want
     assert ZERO_WORD not in got
     assert EMPTY_WORD in got
+
+
+def test_enumerate_reads_the_rules():
+    # a rule outside the paper's families removes its left side from the census
+    z2 = _pres("z2")
+    factor = parse_word("s1 x1 x2", 2)
+    p = _with_rules(z2, [Rule(factor, ZERO_WORD, "C")])
+    got = enumerate_normal_forms(p, 4)
+    base = enumerate_normal_forms(z2, 4)
+    assert got == [w for w in base if all(w[t:t + 3] != factor for t in range(len(w) - 2))]
+    assert len(got) < len(base)
 
 
 def test_enumerate_is_length_lexicographic():

@@ -33,22 +33,24 @@ def _pres(name):
 # ------------------------------------------------------------------ decompose
 
 def test_decompose_examples():
-    assert decompose(parse_word("y1 s1 x2 s1", 1)) == (
+    p = _pres("trivial")
+    assert decompose(parse_word("y1 s1 x2 s1", 1), p) == (
         parse_word("y1 s1", 1),
         parse_word("x2 s1", 1),
     )
-    assert decompose(parse_word("s1", 1)) == (parse_word("s1", 1), EMPTY_WORD)
-    assert decompose(parse_word("x1 x2", 1)) == (EMPTY_WORD, parse_word("x1 x2", 1))
-    assert decompose(EMPTY_WORD) == (EMPTY_WORD, EMPTY_WORD)
+    assert decompose(parse_word("s1", 1), p) == (parse_word("s1", 1), EMPTY_WORD)
+    assert decompose(parse_word("x1 x2", 1), p) == (EMPTY_WORD, parse_word("x1 x2", 1))
+    assert decompose(EMPTY_WORD, p) == (EMPTY_WORD, EMPTY_WORD)
 
 
 def test_decompose_rejects_zero_and_reducible():
+    p = _pres("trivial")
     with pytest.raises(ValueError, match="zero word"):
-        decompose(ZERO_WORD)
+        decompose(ZERO_WORD, p)
     with pytest.raises(ValueError, match="not a normal form"):
-        decompose(parse_word("x1 y1", 1))
+        decompose(parse_word("x1 y1", 1), p)
     with pytest.raises(ValueError, match="not a normal form"):
-        decompose(parse_word("s1 0", 1))
+        decompose(parse_word("s1 0", 1), p)
 
 
 def test_decompose_unique_split():
@@ -57,7 +59,7 @@ def test_decompose_unique_split():
     for name in ("trivial", "leftzero2"):
         p = _pres(name)
         for w in enumerate_normal_forms(p, 6 if p.n == 1 else 5):
-            prefix, rest = decompose(w)
+            prefix, rest = decompose(w, p)
             assert prefix + rest == w
             assert all(r != "x" for r, _ in prefix)
             assert rest == EMPTY_WORD or rest[0][0] == "x"
