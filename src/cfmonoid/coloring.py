@@ -75,16 +75,6 @@ def coloring_entry(n: int, i: int, j: int, k: int) -> int:
     return 1 if (i - k) % (n + 1) < j else 0
 
 
-def _y_fiber(c, i, j):
-    # values f(i, j, 1), ..., f(i, j, n+1)
-    return c.bits[i - 1][j - 1]
-
-
-def _x_fiber(c, i, j):
-    # values f(1, i, j), ..., f(n+1, i, j)
-    return tuple(c.bits[k][i - 1][j - 1] for k in range(c.n + 1))
-
-
 def check_conditions(c: Coloring) -> dict:
     """Exhaustively check C1..C6.
 
@@ -94,33 +84,43 @@ def check_conditions(c: Coloring) -> dict:
       C1/C3: some (i, j) with no y-index colored 1 / 0,
       C2/C4: some (i, j) with no x-index colored 1 / 0,
       C5/C6: a 4-tuple (i, j, p, q) of two index pairs with equal fibers.
+
+    The y-fiber of (i, j) is f(i, j, 1..n+1) and the x-fiber of (i, j) is
+    f(1..n+1, i, j).  C5/C6 are found by hashing: one pass maps each fiber to
+    the first index pair that has it, and the first clash is the least
+    (first, second) member pair over the classes of equal fibers.  With
+    D = n(n+1) index pairs that is O(D) lookups, O(n^3) with building the
+    fibers, instead of comparing all D^2 pairs.
     """
     n = c.n
     size = n + 1
     xy_domain = [(i, j) for i in range(1, size + 1) for j in range(1, n + 1)]
     sy_domain = [(i, j) for i in range(1, n + 1) for j in range(1, size + 1)]
+    y_fibers = [c.bits[i - 1][j - 1] for i, j in xy_domain]
+    x_fibers = [tuple(plane[i - 1][j - 1] for plane in c.bits) for i, j in sy_domain]
 
-    def first_missing(fiber, domain, want):
-        for i, j in domain:
-            if want not in fiber(c, i, j):
-                return (i, j)
+    def first_missing(fibers, domain, want):
+        for fiber, pair in zip(fibers, domain):
+            if want not in fiber:
+                return pair
         return None
 
-    def first_clash(fiber, domain):
-        fibers = [fiber(c, i, j) for i, j in domain]
-        for a in range(len(domain)):
-            for b in range(a + 1, len(domain)):
-                if fibers[a] == fibers[b]:
-                    return domain[a] + domain[b]
-        return None
+    def first_clash(fibers, domain):
+        first = {}
+        clash = None
+        for b, fiber in enumerate(fibers):
+            a = first.setdefault(fiber, b)
+            if a != b and (clash is None or a < clash[0]):
+                clash = (a, b)
+        return None if clash is None else domain[clash[0]] + domain[clash[1]]
 
     raw = {
-        "C1": first_missing(_y_fiber, xy_domain, 1),
-        "C2": first_missing(_x_fiber, sy_domain, 1),
-        "C3": first_missing(_y_fiber, xy_domain, 0),
-        "C4": first_missing(_x_fiber, sy_domain, 0),
-        "C5": first_clash(_y_fiber, xy_domain),
-        "C6": first_clash(_x_fiber, sy_domain),
+        "C1": first_missing(y_fibers, xy_domain, 1),
+        "C2": first_missing(x_fibers, sy_domain, 1),
+        "C3": first_missing(y_fibers, xy_domain, 0),
+        "C4": first_missing(x_fibers, sy_domain, 0),
+        "C5": first_clash(y_fibers, xy_domain),
+        "C6": first_clash(x_fibers, sy_domain),
     }
     return {name: (raw[name] is None, raw[name]) for name in CONDITION_NAMES}
 

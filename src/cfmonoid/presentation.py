@@ -145,10 +145,10 @@ def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             rules.append(Rule((("s", i), ("s", j)), (("s", table.mul(i, j)),), "A"))
-    for i in range(1, size + 1):
-        for j in range(1, n + 1):
-            for k in range(1, size + 1):
-                rhs = EMPTY_WORD if coloring.get(i, j, k) == 1 else ZERO_WORD
+    for i, plane in enumerate(coloring.bits, start=1):
+        for j, row in enumerate(plane, start=1):
+            for k, bit in enumerate(row, start=1):
+                rhs = EMPTY_WORD if bit == 1 else ZERO_WORD
                 rules.append(Rule((("x", i), ("s", j), ("y", k)), rhs, "B"))
     for i in range(1, size + 1):
         for j in range(1, size + 1):
@@ -180,22 +180,46 @@ def rule_counts(p: Presentation) -> dict:
     return counts
 
 
+class _QuotedTokens(dict):
+    # letter -> its token as a JSON string literal, encoded on first use
+    def __missing__(self, letter):
+        quoted = self[letter] = json.dumps(_token(letter))
+        return quoted
+
+
 def presentation_to_json(p: Presentation) -> str:
-    """Serialize with deterministic key order; the rule list is stored explicitly."""
-    data = {
-        "n": p.n,
-        "table": [list(row) for row in p.table.rows],
-        "coloring": [[list(row) for row in plane] for plane in p.coloring.bits],
-        "rules": [
-            {
-                "family": r.family,
-                "lhs": [_token(a) for a in r.lhs],
-                "rhs": [_token(a) for a in r.rhs],
-            }
-            for r in p.rules
-        ],
-    }
-    return json.dumps(data, indent=1)
+    """Serialize with deterministic key order; the rule list is stored explicitly.
+
+    The text is byte for byte json.dumps(data, indent=1) of the dict
+    {"n", "table", "coloring", "rules"}, each rule {"family", "lhs", "rhs"}
+    with words as token lists.  Only the header goes through json.dumps:
+    with an indent CPython falls back to its pure-Python encoder, which for
+    the (n+1) n (n+1) B rules of a large n is slow and holds millions of
+    small chunks at once.  Each rule is written from one template instead;
+    family names are plain identifiers and each token is encoded once.
+    """
+    header = json.dumps(
+        {
+            "n": p.n,
+            "table": [list(row) for row in p.table.rows],
+            "coloring": [[list(row) for row in plane] for plane in p.coloring.bits],
+        },
+        indent=1,
+    )
+    if not p.rules:
+        return header[:-2] + ',\n "rules": []\n}'
+    quoted = _QuotedTokens()
+
+    def word(w):
+        if not w:
+            return "[]"
+        return "[\n    " + ",\n    ".join([quoted[a] for a in w]) + "\n   ]"
+
+    rules = ",\n".join([
+        f'  {{\n   "family": "{r.family}",\n   "lhs": {word(r.lhs)},\n   "rhs": {word(r.rhs)}\n  }}'
+        for r in p.rules
+    ])
+    return f'{header[:-2]},\n "rules": [\n{rules}\n ]\n}}'
 
 
 def _int_array(value, shape: tuple, lo: int, hi: int, name: str) -> tuple:
@@ -211,12 +235,31 @@ def _int_array(value, shape: tuple, lo: int, hi: int, name: str) -> tuple:
     return tuple(value)
 
 
+def _check_b_rules(rules: tuple, coloring: Coloring) -> None:
+    # a rule x_i s_j y_k -> w must have w = 1 where f(i, j, k) = 1 and w = 0
+    # where f(i, j, k) = 0, or the rules do not encode the coloring checked
+    for r in rules:
+        lhs = r.lhs
+        if len(lhs) == 3 and lhs[0][0] == "x" and lhs[1][0] == "s" and lhs[2][0] == "y":
+            (_, i), (_, j), (_, k) = lhs
+            bit = coloring.bits[i - 1][j - 1][k - 1]
+            if r.rhs != (EMPTY_WORD if bit == 1 else ZERO_WORD):
+                raise ValueError(
+                    f"invalid presentation file: rule {format_word(lhs)} -> {format_word(r.rhs)}"
+                    f" disagrees with the coloring, which has f({i}, {j}, {k}) = {bit}"
+                )
+
+
 def presentation_from_json(text: str) -> Presentation:
     """Load a serialized presentation verbatim; stored rules are not regenerated.
 
     The shapes are checked: n >= 1, table n x n with entries in 1..n, and
-    coloring (n+1) x n x (n+1) with entries 0 or 1.  Any malformed field
-    raises ValueError.
+    coloring (n+1) x n x (n+1) with entries 0 or 1.  Every rule x_i s_j y_k
+    -> w must agree with the stored coloring: w is 1 where f(i, j, k) = 1
+    and 0 where f(i, j, k) = 0.  Any malformed field or disagreeing rule
+    raises ValueError.  Tokens are decoded by lookup in a table built once
+    per load, so all rules share one tuple per letter; a token missing from
+    it goes through the word parser, which gives the error message.
     """
     try:
         data = json.loads(text)
@@ -228,14 +271,16 @@ def presentation_from_json(text: str) -> Presentation:
             raise ValueError(f"invalid presentation file: n must be a positive integer, got {n!r}")
         table = CayleyTable(n, _int_array(data["table"], (n, n), 1, n, "table"))
         coloring = Coloring(n, _int_array(data["coloring"], (n + 1, n, n + 1), 0, 1, "coloring"))
-        rules = tuple(
-            Rule(
-                tuple(_parse_token(t, n) for t in r["lhs"]),
-                tuple(_parse_token(t, n) for t in r["rhs"]),
-                r["family"],
-            )
-            for r in data["rules"]
-        )
+        letters = {_token(a): a for a in alphabet(n, include_zero=True)}
+
+        def word(tokens):
+            try:
+                return tuple(map(letters.__getitem__, tokens))
+            except (KeyError, TypeError):
+                return tuple(_parse_token(t, n) for t in tokens)
+
+        rules = tuple(Rule(word(r["lhs"]), word(r["rhs"]), r["family"]) for r in data["rules"])
     except (KeyError, TypeError, IndexError) as e:
         raise ValueError(f"invalid presentation file: {e}") from None
+    _check_b_rules(rules, coloring)
     return Presentation(n, table, coloring, rules)

@@ -170,6 +170,13 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
     for _ in range(guard):
         if (left, right) in _TERMINAL:
             return WitnessTrace(p, tuple(steps))
+        if left == right:
+            # each move was chosen from the coloring to keep the pair apart, so an
+            # equal pair means some rule's right side contradicts the coloring
+            raise ValueError(
+                f"collapse reached the equal pair ({format_word(left)}, {format_word(right)}):"
+                " the rules disagree with the coloring"
+            )
 
         if left == ZERO_WORD or right == ZERO_WORD:
             # one side is zero: lift the other to the identity by a unit context

@@ -311,3 +311,39 @@ def test_enumerate_negative_maxlen_exits_2(trivial_pres, capsys):
     assert rc == 2
     assert captured.out == ""
     assert "maxlen" in captured.err
+
+
+def _flip_b_rule(pres_path, tmp_path, lhs, rhs):
+    data = json.loads(pres_path.read_text())
+    (rule,) = [r for r in data["rules"] if r["lhs"] == lhs.split()]
+    assert rule["family"] == "B" and rule["rhs"] != rhs
+    rule["rhs"] = rhs
+    bad = tmp_path / "flipped.json"
+    bad.write_text(json.dumps(data))
+    return bad
+
+
+@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
+def test_b_rule_disagreeing_with_the_coloring_exits_2(z2_pres, tmp_path, capsys, command):
+    # f(1, 1, 1) = 1, so x1 s1 y1 must rewrite to 1; with 0 the rules no
+    # longer encode the coloring that passes C1..C6
+    bad = _flip_b_rule(z2_pres, tmp_path, "x1 s1 y1", ["0"])
+    capsys.readouterr()
+    rc = main([command, "--pres", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "x1 s1 y1 -> 0 disagrees with the coloring" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_collapse_on_b_rule_disagreeing_with_the_coloring_exits_2(tmp_path, capsys):
+    pres = tmp_path / "lz.json"
+    assert main(["build", "--builtin", "leftzero2", "--out", str(pres)]) == 0
+    bad = _flip_b_rule(pres, tmp_path, "x2 s1 y3", [])
+    capsys.readouterr()
+    rc = main(["collapse", "--pres", str(bad), "y2", "y3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "x2 s1 y3 -> 1 disagrees with the coloring" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,6 +1,10 @@
+import random
+import time
+
 import pytest
 
 from cfmonoid.coloring import (
+    CONDITION_NAMES,
     Coloring,
     ColoringParseError,
     build_coloring,
@@ -15,6 +19,45 @@ from cfmonoid.coloring import (
 def _constant(n, bit):
     size = n + 1
     return Coloring(n, tuple(tuple((bit,) * size for _ in range(n)) for _ in range(size)))
+
+
+def _reference_check_conditions(c):
+    # the former check_conditions, kept as the reference: it compares all
+    # D^2 pairs of fibers, D = n(n+1), for C5 and C6
+    n = c.n
+    size = n + 1
+    xy_domain = [(i, j) for i in range(1, size + 1) for j in range(1, n + 1)]
+    sy_domain = [(i, j) for i in range(1, n + 1) for j in range(1, size + 1)]
+
+    def y_fiber(i, j):
+        return tuple(c.get(i, j, k) for k in range(1, size + 1))
+
+    def x_fiber(i, j):
+        return tuple(c.get(k, i, j) for k in range(1, size + 1))
+
+    def first_missing(fiber, domain, want):
+        for i, j in domain:
+            if want not in fiber(i, j):
+                return (i, j)
+        return None
+
+    def first_clash(fiber, domain):
+        fibers = [fiber(i, j) for i, j in domain]
+        for a in range(len(domain)):
+            for b in range(a + 1, len(domain)):
+                if fibers[a] == fibers[b]:
+                    return domain[a] + domain[b]
+        return None
+
+    raw = {
+        "C1": first_missing(y_fiber, xy_domain, 1),
+        "C2": first_missing(x_fiber, sy_domain, 1),
+        "C3": first_missing(y_fiber, xy_domain, 0),
+        "C4": first_missing(x_fiber, sy_domain, 0),
+        "C5": first_clash(y_fiber, xy_domain),
+        "C6": first_clash(x_fiber, sy_domain),
+    }
+    return {name: (raw[name] is None, raw[name]) for name in CONDITION_NAMES}
 
 
 def test_closed_form_examples():
@@ -134,6 +177,48 @@ def test_c5_c6_are_fiber_injectivity():
         ]
         assert len(set(y_fibers)) == len(y_fibers)
         assert len(set(x_fibers)) == len(x_fibers)
+
+
+def test_check_conditions_matches_all_pairs_reference():
+    rng = random.Random(20131)
+    colorings = [build_coloring(n) for n in range(1, 6)] + [_constant(3, 0), _constant(3, 1)]
+    for _ in range(2400):
+        n = rng.randint(1, 5)
+        density = rng.choice((0.05, 0.2, 0.5, 0.8, 0.95))
+        bits = tuple(
+            tuple(tuple(int(rng.random() < density) for _ in range(n + 1)) for _ in range(n))
+            for _ in range(n + 1)
+        )
+        colorings.append(Coloring(n, bits))
+    clashes = {"C5": 0, "C6": 0}
+    passes = 0
+    for c in colorings:
+        report = check_conditions(c)
+        assert report == _reference_check_conditions(c)
+        for name in clashes:
+            clashes[name] += not report[name][0]
+        passes += conditions_ok(report)
+    # both clash searches are exercised often, and some colorings pass all six
+    assert min(clashes.values()) > 1500
+    assert passes >= 10
+
+
+def test_check_conditions_first_clash_is_least_pair_over_classes():
+    # y-fibers in order (1,1) A, (1,2) B, (2,1) B, (2,2) A: the first repeat
+    # seen is B at (2,1), but the least pair is (1,1)-(2,2) of class A
+    a, b = (1, 0, 1), (0, 1, 1)
+    c = Coloring(2, ((a, b), (b, a), ((1, 1, 0), (0, 0, 1))))
+    assert check_conditions(c)["C5"] == (False, (1, 1, 2, 2))
+    assert _reference_check_conditions(c)["C5"] == (False, (1, 1, 2, 2))
+
+
+def test_check_conditions_is_fast_at_n64():
+    c = build_coloring(64)
+    start = time.perf_counter()
+    report = check_conditions(c)
+    elapsed = time.perf_counter() - start
+    assert conditions_ok(report)
+    assert elapsed < 0.5, f"check_conditions(build_coloring(64)) took {elapsed:.2f} s"
 
 
 def test_check_accepts_arbitrary_colorings():

@@ -12,6 +12,7 @@ from cfmonoid.presentation import (
     WordSyntaxError,
     ZERO_LETTER,
     ZERO_WORD,
+    _token,
     alphabet,
     format_word,
     generate_presentation,
@@ -26,6 +27,27 @@ from cfmonoid.semigroup import BUILTIN_NAMES, CayleyTable, builtin
 def _pres(name):
     t = builtin(name)
     return generate_presentation(t, build_coloring(t.n))
+
+
+def _cyclic(n):
+    return CayleyTable(n, tuple(tuple((i + j) % n + 1 for j in range(n)) for i in range(n)))
+
+
+def _json_data(p):
+    return {
+        "n": p.n,
+        "table": [list(row) for row in p.table.rows],
+        "coloring": [[list(row) for row in plane] for plane in p.coloring.bits],
+        "rules": [
+            {"family": r.family, "lhs": [_token(a) for a in r.lhs], "rhs": [_token(a) for a in r.rhs]}
+            for r in p.rules
+        ],
+    }
+
+
+def _reference_json(p):
+    # the former writer, kept as the reference for the file layout
+    return json.dumps(_json_data(p), indent=1)
 
 
 # ---------------------------------------------------------------- word syntax
@@ -215,6 +237,74 @@ def test_json_keeps_tampered_rules():
     data["rules"][0]["rhs"] = ["s2"]
     loaded = presentation_from_json(json.dumps(data))
     assert loaded.rules[0].rhs == (("s", 2),)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("Z_8",))
+def test_json_bytes_match_indented_json_dumps(name):
+    p = generate_presentation(_cyclic(8), build_coloring(8)) if name == "Z_8" else _pres(name)
+    assert presentation_to_json(p) == _reference_json(p)
+
+
+def test_json_bytes_match_with_tampered_rule_and_without_rules():
+    p = _pres("z2")
+    tampered = tuple(
+        Rule(r.lhs, (("s", 2),), r.family) if r.lhs == (("s", 1), ("s", 1)) else r for r in p.rules
+    )
+    for q in (Presentation(p.n, p.table, p.coloring, tampered), Presentation(p.n, p.table, p.coloring, ())):
+        text = presentation_to_json(q)
+        assert text == _reference_json(q)
+        assert presentation_from_json(text) == q
+
+
+def test_json_compact_file_loads():
+    p = _pres("t2")
+    assert presentation_from_json(json.dumps(_json_data(p))) == p
+
+
+@pytest.mark.parametrize(
+    "token, error",
+    [
+        ("q1", "unknown token 'q1'"),
+        ("s9", "index out of range in token 's9' (max s2 for n=2)"),
+        ("x4", "index out of range in token 'x4' (max x3 for n=2)"),
+        ("1", "unknown token '1'"),
+        (5, "invalid presentation file: 'int' object is not subscriptable"),
+        (None, "invalid presentation file: 'NoneType' object is not subscriptable"),
+        (["s1"], "unknown token ['s1']"),
+    ],
+)
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_json_bad_token_messages(token, error, side):
+    data = _json_data(_pres("z2"))
+    data["rules"][0][side][0] = token
+    with pytest.raises(ValueError) as e:
+        presentation_from_json(json.dumps(data))
+    assert str(e.value) == error
+
+
+def test_json_letters_are_shared_across_rules():
+    p = presentation_from_json(presentation_to_json(_pres("z3")))
+    ids = {}
+    for r in p.rules:
+        for a in r.lhs + r.rhs:
+            assert ids.setdefault(a, id(a)) == id(a)
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, error",
+    [
+        ("x1 s1 y1", ["0"], "rule x1 s1 y1 -> 0 disagrees with the coloring, which has f(1, 1, 1) = 1"),
+        ("x1 s1 y2", [], "rule x1 s1 y2 -> 1 disagrees with the coloring, which has f(1, 1, 2) = 0"),
+    ],
+    ids=["1-flipped-to-0", "0-flipped-to-1"],
+)
+def test_json_rejects_b_rule_disagreeing_with_the_coloring(lhs, rhs, error):
+    data = _json_data(_pres("z2"))
+    (rule,) = [r for r in data["rules"] if r["lhs"] == lhs.split()]
+    rule["rhs"] = rhs
+    with pytest.raises(ValueError) as e:
+        presentation_from_json(json.dumps(data))
+    assert str(e.value) == f"invalid presentation file: {error}"
 
 
 def test_json_bad_input():

@@ -3,6 +3,8 @@ import pytest
 from cfmonoid.coloring import build_coloring
 from cfmonoid.presentation import (
     EMPTY_WORD,
+    Presentation,
+    Rule,
     ZERO_WORD,
     alphabet,
     format_word,
@@ -137,6 +139,18 @@ def test_collapse_identical_inputs():
     p = _pres("trivial")
     with pytest.raises(ValueError, match="identical inputs"):
         collapse(parse_word("s1", 1), parse_word("s1", 1), p)
+
+
+def test_collapse_rejects_a_pair_made_equal_by_a_disagreeing_b_rule():
+    # built in code, so the loader's B-rule check never sees it: with
+    # x2 s1 y3 -> 1 although f(2, 1, 3) = 0, both y2 and y3 reach 1
+    p = _pres("leftzero2")
+    flipped = parse_word("x2 s1 y3", 2)
+    assert p.lhs_map[flipped] == ZERO_WORD
+    rules = tuple(Rule(r.lhs, EMPTY_WORD, r.family) if r.lhs == flipped else r for r in p.rules)
+    bad = Presentation(p.n, p.table, p.coloring, rules)
+    with pytest.raises(ValueError, match=r"equal pair \(1, 1\)"):
+        collapse(parse_word("y2", 2), parse_word("y3", 2), bad)
 
 
 def test_collapse_rejects_reducible_input():
