@@ -256,10 +256,13 @@ def presentation_from_json(text: str) -> Presentation:
     The shapes are checked: n >= 1, table n x n with entries in 1..n, and
     coloring (n+1) x n x (n+1) with entries 0 or 1.  Every rule x_i s_j y_k
     -> w must agree with the stored coloring: w is 1 where f(i, j, k) = 1
-    and 0 where f(i, j, k) = 0.  Any malformed field or disagreeing rule
-    raises ValueError.  Tokens are decoded by lookup in a table built once
-    per load, so all rules share one tuple per letter; a token missing from
-    it goes through the word parser, which gives the error message.
+    and 0 where f(i, j, k) = 0.  No two rules may share a left side: the
+    reducer keeps one rule per left side and the critical pairs never pair
+    two equal ones, so the other would go unchecked.  Any malformed field,
+    disagreeing rule or repeated left side raises ValueError.  Tokens are
+    decoded by lookup in a table built once per load, so all rules share one
+    tuple per letter; a token missing from it goes through the word parser,
+    which gives the error message.
     """
     try:
         data = json.loads(text)
@@ -283,4 +286,11 @@ def presentation_from_json(text: str) -> Presentation:
     except (KeyError, TypeError, IndexError) as e:
         raise ValueError(f"invalid presentation file: {e}") from None
     _check_b_rules(rules, coloring)
-    return Presentation(n, table, coloring, rules)
+    pres = Presentation(n, table, coloring, rules)
+    if len(pres.lhs_map) != len(rules):
+        seen = set()
+        for r in rules:
+            if r.lhs in seen:
+                raise ValueError(f"invalid presentation file: two rules for the left side {format_word(r.lhs)}")
+            seen.add(r.lhs)
+    return pres

@@ -5,13 +5,23 @@ to (1, 0), witnessing that any congruence identifying u and v is universal.
 unit_context makes zero-simplicity constructive: it builds words a, b with
 a w b = 1 for every nonzero normal form w.  verify_trace replays a chain using
 only concatenation and normal_form, sharing no logic with collapse.
+
+The construction is left-right symmetric.  The mirror image of a word is the
+word reversed with x_i and y_i swapped (s_j and z stay); it maps each rule of
+the presentation for a table t and a coloring f to a rule of the presentation
+for the opposite table and the transposed coloring fT(i, j, k) = f(k, j, i),
+and it turns C1, C3 and C5 into C2, C4 and C6.  So each move is written once,
+for the x side, where it reads the right end of the words and multiplies on
+the right; the y side runs the same code on the mirror images, reading the
+fibers of fT, and mirrors the multiplier back to multiply on the left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import ne
 
-from .coloring import check_conditions
+from .coloring import Coloring, check_conditions
 from .presentation import (
     EMPTY_WORD,
     ColoringConditionError,
@@ -24,6 +34,7 @@ from .presentation import (
 from .rewrite import is_normal_form, normal_form
 
 _TERMINAL = ((EMPTY_WORD, ZERO_WORD), (ZERO_WORD, EMPTY_WORD))
+_SWAP = {"x": "y", "y": "x", "s": "s", "z": "z"}
 
 
 @dataclass(frozen=True)
@@ -44,6 +55,18 @@ def _check_normal(w: Word, p: Presentation, what: str = "word") -> None:
         raise ValueError(f"{what} is not a normal form: {format_word(w)}")
 
 
+def _mirror(w: Word) -> Word:
+    # the word reversed, with x_i and y_i swapped
+    return tuple([(_SWAP[role], idx) for role, idx in reversed(w)])
+
+
+def _split(w: Word):
+    for t, letter in enumerate(w):
+        if letter[0] == "x":
+            return w[:t], w[t:]
+    return w, EMPTY_WORD
+
+
 def decompose(w: Word, p: Presentation):
     """Split a nonzero normal form as P Q with P x-free and Q empty or x-initial.
 
@@ -54,19 +77,56 @@ def decompose(w: Word, p: Presentation):
     if w == ZERO_WORD:
         raise ValueError("the zero word has no such decomposition")
     _check_normal(w, p)
-    for t, letter in enumerate(w):
-        if letter[0] == "x":
-            return w[:t], w[t:]
-    return w, EMPTY_WORD
+    return _split(w)
 
 
-def _least(p: Presentation, hit) -> int:
-    # smallest x- or y-index t in 1..n+1 with hit(t); C1..C6 promise one for
+# A fiber is the tuple of colors over the last index: the x side reads
+# f(i, j, .), the mirrored y side reads fT(i, j, .) = f(., j, i).
+def _row(c: Coloring, i: int, j: int) -> tuple:
+    return c.bits[i - 1][j - 1]
+
+
+def _column(c: Coloring, i: int, j: int) -> list:
+    return [plane[j - 1][i - 1] for plane in c.bits]
+
+
+def _least(c: Coloring, colors, want: int = 1) -> int:
+    # least index t in 1..n+1 with colors[t-1] == want; C1..C6 promise one for
     # every search below, so a coloring that breaks them raises its report
-    for t in range(1, p.n + 2):
-        if hit(t):
-            return t
-    raise ColoringConditionError(check_conditions(p.coloring))
+    try:
+        return colors.index(want) + 1
+    except ValueError:
+        raise ColoringConditionError(check_conditions(c)) from None
+
+
+def _right_unit(q: Word, c: Coloring, fiber) -> list:
+    # letters b with q b = 1, for a y-free normal form q whose every s follows
+    # an x: a trailing x_i gets s_1 y_k with f(i, 1, k) = 1, a trailing x_i s_j
+    # gets y_k with f(i, j, k) = 1, where f is the coloring that fiber reads
+    b = []
+    t = len(q)
+    while t:
+        role, idx = q[t - 1]
+        if role == "x":
+            b += [("s", 1), ("y", _least(c, fiber(c, idx, 1)))]
+            t -= 1
+        else:
+            b.append(("y", _least(c, fiber(c, q[t - 2][1], idx))))
+            t -= 2
+    return b
+
+
+def _unit_context(w: Word, c: Coloring):
+    prefix, rest = _split(w)
+    b = _right_unit(rest, c, _row)
+    lone = prefix[-1][1] if prefix and prefix[-1][0] == "s" else None
+    if lone is not None:
+        prefix = prefix[:-1]
+    a = _mirror(_right_unit(_mirror(prefix), c, _column))
+    if lone is not None:
+        a = (("x", 1),) + a
+        b.append(("y", _least(c, _row(c, 1, lone))))
+    return a, tuple(b)
 
 
 def unit_context(w: Word, p: Presentation):
@@ -74,45 +134,16 @@ def unit_context(w: Word, p: Presentation):
 
     With w = P Q, the right context peels Q one x at a time: a trailing x_i
     gets s_1 y_k appended with f(i, 1, k) = 1, a trailing x_i s_j gets y_k
-    with f(i, j, k) = 1.  The left context then peels P: a leading y_k gets
-    x_i s_1 prepended with f(i, 1, k) = 1, a leading s_j y_k gets x_i with
-    f(i, j, k) = 1, and a lone s_j is wrapped as x_1 s_j y_k with
-    f(1, j, k) = 1.
+    with f(i, j, k) = 1.  The left context peels P the same way on its
+    mirror image, with the transposed coloring: a leading y_k gets x_i s_1
+    prepended with f(i, 1, k) = 1, a leading s_j y_k gets x_i with
+    f(i, j, k) = 1.  A trailing lone s_j of P is wrapped as x_1 s_j y_k
+    with f(1, j, k) = 1.
     """
     if w == ZERO_WORD:
         raise ValueError("the zero word has no unit context")
-    f = p.coloring.get
-    prefix, rest = decompose(w, p)
-    b = []
-    while rest:
-        role, idx = rest[-1]
-        if role == "x":
-            k = _least(p, lambda k: f(idx, 1, k))
-            b += [("s", 1), ("y", k)]
-            rest = rest[:-1]
-        else:
-            i = rest[-2][1]
-            k = _least(p, lambda k: f(i, idx, k))
-            b.append(("y", k))
-            rest = rest[:-2]
-    a = []
-    while prefix:
-        role, idx = prefix[0]
-        if role == "y":
-            i = _least(p, lambda i: f(i, 1, idx))
-            a = [("x", i), ("s", 1)] + a
-            prefix = prefix[1:]
-        elif len(prefix) >= 2:
-            k = prefix[1][1]
-            i = _least(p, lambda i: f(i, idx, k))
-            a = [("x", i)] + a
-            prefix = prefix[2:]
-        else:
-            k = _least(p, lambda k: f(1, idx, k))
-            a = [("x", 1)] + a
-            b.append(("y", k))
-            prefix = EMPTY_WORD
-    return tuple(a), tuple(b)
+    _check_normal(w, p)
+    return _unit_context(w, p.coloring)
 
 
 def _end_pair(w: Word):
@@ -123,12 +154,47 @@ def _end_pair(w: Word):
     return w[-2][1], idx
 
 
-def _start_pair(w: Word):
-    # w is a normal form containing y, so it starts with y_k or s_j y_k
-    role, idx = w[0]
-    if role == "y":
-        return None, idx
-    return idx, w[1][1]
+def _x_move(left: Word, right: Word, lx: bool, rx: bool, c: Coloring, m: int):
+    """Right multiplier and note template for a pair with x in one or both sides.
+
+    m is 0 for the pair itself and 1 for its mirror image, whose searches
+    read the fibers of fT and whose notes name C2, C4 and C6 for C1, C3 and
+    C5 and the words' starts for their ends.  The note's {} is the multiplier.
+    """
+    fiber = _column if m else _row
+    end, x, xs = ("start", "y", "s y") if m else ("end", "x", "x s")
+    if lx and rx:
+        li, lj = _end_pair(left)
+        ri, rj = _end_pair(right)
+        if lj is not None and rj is not None:
+            if (li, lj) == (ri, rj):
+                k = _least(c, fiber(c, li, lj))
+                note = f"both {end} {xs}, equal pairs: strip with {{}} (C{1 + m})"
+            else:
+                k = _least(c, list(map(ne, fiber(c, li, lj), fiber(c, ri, rj))))
+                note = f"both {end} {xs}, distinct pairs: split with {{}} (C{5 + m})"
+            g = (("y", k),)
+        elif lj is None and rj is None:
+            if li == ri:
+                k = _least(c, fiber(c, li, 1))
+                note = f"both {end} {x}, equal index: strip with {{}} (C{1 + m})"
+            else:
+                k = _least(c, list(map(ne, fiber(c, li, 1), fiber(c, ri, 1))))
+                note = f"both {end} {x}, distinct indices: split with {{}} (C{5 + m})"
+            g = (("s", 1), ("y", k))
+        else:
+            i, j = (li, lj) if lj is not None else (ri, rj)
+            g = (("y", _least(c, fiber(c, i, j))),)
+            note = f"mixed {end}s: {{}} strips the {xs} side, zeroes the bare {x} (C{1 + m})"
+    else:
+        i, j = _end_pair(left if lx else right)
+        if j is None:
+            g = (("y", i),)
+            note = f"single {x} side with {x}{i} at its {end}: {{}} zeroes it"
+        else:
+            g = (("y", _least(c, fiber(c, i, j), 0)),)
+            note = f"single {x} side with {xs} at its {end}: {{}} colored 0 zeroes it (C{3 + m})"
+    return g, note
 
 
 def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
@@ -137,163 +203,72 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
     Both inputs must be distinct normal forms (the zero word and the empty
     word are allowed).  Each loop iteration either strictly shrinks the
     combined length or finishes through a unit context, so the trace length
-    is linear in |u| + |v|.
+    is linear in |u| + |v|.  The cases are tried in the order: one side zero,
+    both sides with x, both with y, one with x, one with y, and last the
+    empty word and single s-letters.  A pair with y in both sides, or in one
+    side and x in none, is the x case of its mirror image.
     """
     if u == v:
         raise ValueError("identical inputs generate no congruence")
     _check_normal(u, p, "left word")
     _check_normal(v, p, "right word")
-    f = p.coloring.get
+    c = p.coloring
     steps = [WitnessStep((u, v), ("GEN",), "generator pair")]
     left, right = u, v
-
-    def multiply_left(g, note):
-        nonlocal left, right
-        left, right = g + left, g + right
-        steps.append(WitnessStep((left, right), ("MULL", g), note))
-
-    def multiply_right(g, note):
-        nonlocal left, right
-        left, right = left + g, right + g
-        steps.append(WitnessStep((left, right), ("MULR", g), note))
-
-    def rewrite(note):
-        nonlocal left, right
-        nl, nr = normal_form(left, p), normal_form(right, p)
-        if nl == left and nr == right:
-            return
-        side = "both" if (nl != left and nr != right) else ("left" if nl != left else "right")
-        left, right = nl, nr
-        steps.append(WitnessStep((left, right), ("REWRITE", side), note))
-
     guard = 2 * (len(u) + len(v)) + 8
     for _ in range(guard):
         if (left, right) in _TERMINAL:
             return WitnessTrace(p, tuple(steps))
         if left == right:
             # each move was chosen from the coloring to keep the pair apart, so an
-            # equal pair means some rule's right side contradicts the coloring
+            # equal pair means some rule differs from the paper's construction
             raise ValueError(
                 f"collapse reached the equal pair ({format_word(left)}, {format_word(right)}):"
-                " the rules disagree with the coloring"
+                " the rules are not the paper's construction for their coloring"
             )
-
+        a = b = EMPTY_WORD  # the multipliers on the left and on the right
         if left == ZERO_WORD or right == ZERO_WORD:
             # one side is zero: lift the other to the identity by a unit context
-            w = right if left == ZERO_WORD else left
-            a, b = unit_context(w, p)
+            a, b = _unit_context(right if left == ZERO_WORD else left, c)
             note = "zero side: unit context"
-            if a:
-                multiply_left(a, note)
-            if b:
-                multiply_right(b, note)
-            rewrite(note)
-            continue
-
-        lx = any(r == "x" for r, _ in left)
-        rx = any(r == "x" for r, _ in right)
-        ly = any(r == "y" for r, _ in left)
-        ry = any(r == "y" for r, _ in right)
-
-        if lx and rx:
-            li, lj = _end_pair(left)
-            ri, rj = _end_pair(right)
-            if lj is not None and rj is not None:
-                if (li, lj) == (ri, rj):
-                    k = _least(p, lambda k: f(li, lj, k))
-                    note = f"both end x s, equal pairs: strip with y{k} (C1)"
-                else:
-                    k = _least(p, lambda k: f(li, lj, k) != f(ri, rj, k))
-                    note = f"both end x s, distinct pairs: split with y{k} (C5)"
-                g = (("y", k),)
-            elif lj is None and rj is None:
-                if li == ri:
-                    k = _least(p, lambda k: f(li, 1, k))
-                    note = f"both end x, equal index: strip with s1 y{k} (C1)"
-                else:
-                    k = _least(p, lambda k: f(li, 1, k) != f(ri, 1, k))
-                    note = f"both end x, distinct indices: split with s1 y{k} (C5)"
-                g = (("s", 1), ("y", k))
-            else:
-                i, j = (li, lj) if lj is not None else (ri, rj)
-                k = _least(p, lambda k: f(i, j, k))
-                note = f"mixed ends: y{k} strips the x s side, zeroes the bare x (C1)"
-                g = (("y", k),)
-            multiply_right(g, note)
-            rewrite(note)
-            continue
-
-        if ly and ry:
-            lj, lk = _start_pair(left)
-            rj, rk = _start_pair(right)
-            if lj is not None and rj is not None:
-                if (lj, lk) == (rj, rk):
-                    i = _least(p, lambda i: f(i, lj, lk))
-                    note = f"both start s y, equal pairs: strip with x{i} (C2)"
-                else:
-                    i = _least(p, lambda i: f(i, lj, lk) != f(i, rj, rk))
-                    note = f"both start s y, distinct pairs: split with x{i} (C6)"
-                g = (("x", i),)
-            elif lj is None and rj is None:
-                if lk == rk:
-                    i = _least(p, lambda i: f(i, 1, lk))
-                    note = f"both start y, equal index: strip with x{i} s1 (C2)"
-                else:
-                    i = _least(p, lambda i: f(i, 1, lk) != f(i, 1, rk))
-                    note = f"both start y, distinct indices: split with x{i} s1 (C6)"
-                g = (("x", i), ("s", 1))
-            else:
-                j, k = (lj, lk) if lj is not None else (rj, rk)
-                i = _least(p, lambda i: f(i, j, k))
-                note = f"mixed starts: x{i} strips the s y side, zeroes the bare y (C2)"
-                g = (("x", i),)
-            multiply_left(g, note)
-            rewrite(note)
-            continue
-
-        if lx or rx:
-            # exactly one side contains x; kill it on the right
-            w = left if lx else right
-            i, j = _end_pair(w)
-            if j is None:
-                k = i
-                note = f"single x side ending x{i}: y{i} zeroes it"
-            else:
-                k = _least(p, lambda k: not f(i, j, k))
-                note = f"single x side ending x{i} s{j}: y{k} colored 0 zeroes it (C3)"
-            multiply_right((("y", k),), note)
-            rewrite(note)
-            continue
-
-        if ly or ry:
-            # exactly one side contains y and no side contains x; kill it on the left
-            w = left if ly else right
-            j, k = _start_pair(w)
-            if j is None:
-                i = k
-                note = f"single y side starting y{k}: x{k} zeroes it"
-            else:
-                i = _least(p, lambda i: not f(i, j, k))
-                note = f"single y side starting s{j} y{k}: x{i} colored 0 zeroes it (C4)"
-            multiply_left((("x", i),), note)
-            rewrite(note)
-            continue
-
-        # both sides are the empty word or a single s-letter
-        sl = left[0][1] if left else None
-        sr = right[0][1] if right else None
-        if sl is None or sr is None:
-            j = sl if sl is not None else sr
-            k = _least(p, lambda k: f(1, j, k))
-            note = f"identity vs s{j}: wrap x1 .. y{k} (C1)"
         else:
-            k = _least(p, lambda k: f(1, sl, k) != f(1, sr, k))
-            note = f"s{sl} vs s{sr}: wrap x1 .. y{k} (C5)"
-        multiply_left((("x", 1),), note)
-        multiply_right((("y", k),), note)
-        rewrite(note)
-
-    raise RuntimeError("collapse failed to terminate (invalid presentation?)")
+            lx = any(r == "x" for r, _ in left)
+            rx = any(r == "x" for r, _ in right)
+            ly = any(r == "y" for r, _ in left)
+            ry = any(r == "y" for r, _ in right)
+            if (lx and rx) or ((lx or rx) and not (ly and ry)):
+                b, note = _x_move(left, right, lx, rx, c, 0)
+                note = note.format(format_word(b))
+            elif ly or ry:
+                g, note = _x_move(_mirror(left), _mirror(right), ly, ry, c, 1)
+                a = _mirror(g)
+                note = note.format(format_word(a))
+            else:
+                # both sides are the empty word or a single s-letter
+                sl = left[0][1] if left else None
+                sr = right[0][1] if right else None
+                if sl is None or sr is None:
+                    j = sl if sl is not None else sr
+                    k = _least(c, _row(c, 1, j))
+                    note = f"identity vs s{j}: wrap x1 .. y{k} (C1)"
+                else:
+                    k = _least(c, list(map(ne, _row(c, 1, sl), _row(c, 1, sr))))
+                    note = f"s{sl} vs s{sr}: wrap x1 .. y{k} (C5)"
+                a, b = (("x", 1),), (("y", k),)
+        if a:
+            left, right = a + left, a + right
+            steps.append(WitnessStep((left, right), ("MULL", a), note))
+        if b:
+            left, right = left + b, right + b
+            steps.append(WitnessStep((left, right), ("MULR", b), note))
+        nl, nr = normal_form(left, p), normal_form(right, p)
+        if nl != left or nr != right:
+            side = "both" if (nl != left and nr != right) else ("left" if nl != left else "right")
+            left, right = nl, nr
+            steps.append(WitnessStep((left, right), ("REWRITE", side), note))
+    raise ValueError(
+        f"collapse did not reach (1, 0) in {guard} rounds: the rules are not the paper's construction"
+    )
 
 
 def verify_trace(trace: WitnessTrace, p: Presentation):

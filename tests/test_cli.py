@@ -347,3 +347,37 @@ def test_collapse_on_b_rule_disagreeing_with_the_coloring_exits_2(tmp_path, caps
     assert rc == 2
     assert "x2 s1 y3 -> 1 disagrees with the coloring" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
+def test_two_rules_for_one_left_side_exits_2(z2_pres, tmp_path, capsys, command):
+    # the reducer keeps one rule per left side and no critical pair joins two
+    # equal left sides, so a second rule would pass both checks unread
+    data = json.loads(z2_pres.read_text())
+    (at,) = [t for t, r in enumerate(data["rules"]) if r["lhs"] == ["x1", "y1"]]
+    data["rules"].insert(at, {"family": "C", "lhs": ["x1", "y1"], "rhs": ["s1"]})
+    bad = tmp_path / "twice.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main([command, "--pres", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "two rules for the left side x1 y1" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_collapse_that_cannot_finish_exits_2(z2_pres, tmp_path, capsys):
+    # with s1 0 -> x3 the zero no longer absorbs s1, and the pair never
+    # reaches (1, 0): the rules are not the paper's construction
+    data = json.loads(z2_pres.read_text())
+    (rule,) = [r for r in data["rules"] if r["lhs"] == ["s1", "0"]]
+    rule["rhs"] = ["x3"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["collapse", "--pres", str(bad), "y2 x2", "y1 y1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "not the paper's construction" in captured.err
+    assert "Traceback" not in captured.err

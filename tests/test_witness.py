@@ -1,8 +1,12 @@
+import random
+import re
+
 import pytest
 
-from cfmonoid.coloring import build_coloring
+from cfmonoid.coloring import build_coloring, check_conditions
 from cfmonoid.presentation import (
     EMPTY_WORD,
+    ColoringConditionError,
     Presentation,
     Rule,
     ZERO_WORD,
@@ -12,10 +16,11 @@ from cfmonoid.presentation import (
     parse_word,
 )
 from cfmonoid.rewrite import enumerate_normal_forms, normal_form
-from cfmonoid.semigroup import builtin
+from cfmonoid.semigroup import CayleyTable, builtin
 from cfmonoid.witness import (
     WitnessStep,
     WitnessTrace,
+    _check_normal,
     collapse,
     decompose,
     format_trace,
@@ -294,3 +299,275 @@ def test_verify_parsed_trace_with_zero_words_inside():
     tr = collapse(ZERO_WORD, parse_word("y1 s1", 1), p)
     text = format_trace(tr)
     assert verify_trace(parse_trace(text, p), p) == (True, None, None)
+
+
+# ------------------------------------------------ the two-sided reference
+# collapse and unit_context as they were while every y-side case was written
+# out by hand beside its x-side twin; collapse now runs the y-side cases as
+# the x-side cases on the mirror image, and must give the same traces
+
+
+def _least_reference(p, hit):
+    for t in range(1, p.n + 2):
+        if hit(t):
+            return t
+    raise ColoringConditionError(check_conditions(p.coloring))
+
+
+def _unit_context_reference(w, p):
+    if w == ZERO_WORD:
+        raise ValueError("the zero word has no unit context")
+    f = p.coloring.get
+    prefix, rest = decompose(w, p)
+    b = []
+    while rest:
+        role, idx = rest[-1]
+        if role == "x":
+            k = _least_reference(p, lambda k: f(idx, 1, k))
+            b += [("s", 1), ("y", k)]
+            rest = rest[:-1]
+        else:
+            i = rest[-2][1]
+            k = _least_reference(p, lambda k: f(i, idx, k))
+            b.append(("y", k))
+            rest = rest[:-2]
+    a = []
+    while prefix:
+        role, idx = prefix[0]
+        if role == "y":
+            i = _least_reference(p, lambda i: f(i, 1, idx))
+            a = [("x", i), ("s", 1)] + a
+            prefix = prefix[1:]
+        elif len(prefix) >= 2:
+            k = prefix[1][1]
+            i = _least_reference(p, lambda i: f(i, idx, k))
+            a = [("x", i)] + a
+            prefix = prefix[2:]
+        else:
+            k = _least_reference(p, lambda k: f(1, idx, k))
+            a = [("x", 1)] + a
+            b.append(("y", k))
+            prefix = EMPTY_WORD
+    return tuple(a), tuple(b)
+
+
+def _end_pair_reference(w):
+    role, idx = w[-1]
+    if role == "x":
+        return idx, None
+    return w[-2][1], idx
+
+
+def _start_pair_reference(w):
+    role, idx = w[0]
+    if role == "y":
+        return None, idx
+    return idx, w[1][1]
+
+
+def _collapse_reference(u, v, p):
+    if u == v:
+        raise ValueError("identical inputs generate no congruence")
+    _check_normal(u, p, "left word")
+    _check_normal(v, p, "right word")
+    f = p.coloring.get
+    steps = [WitnessStep((u, v), ("GEN",), "generator pair")]
+    left, right = u, v
+
+    def multiply_left(g, note):
+        nonlocal left, right
+        left, right = g + left, g + right
+        steps.append(WitnessStep((left, right), ("MULL", g), note))
+
+    def multiply_right(g, note):
+        nonlocal left, right
+        left, right = left + g, right + g
+        steps.append(WitnessStep((left, right), ("MULR", g), note))
+
+    def rewrite(note):
+        nonlocal left, right
+        nl, nr = normal_form(left, p), normal_form(right, p)
+        if nl == left and nr == right:
+            return
+        side = "both" if (nl != left and nr != right) else ("left" if nl != left else "right")
+        left, right = nl, nr
+        steps.append(WitnessStep((left, right), ("REWRITE", side), note))
+
+    guard = 2 * (len(u) + len(v)) + 8
+    for _ in range(guard):
+        if (left, right) in TERMINAL:
+            return WitnessTrace(p, tuple(steps))
+        if left == right:
+            # each move was chosen from the coloring to keep the pair apart, so an
+            # equal pair means some rule's right side contradicts the coloring
+            raise ValueError(
+                f"collapse reached the equal pair ({format_word(left)}, {format_word(right)}):"
+                " the rules disagree with the coloring"
+            )
+
+        if left == ZERO_WORD or right == ZERO_WORD:
+            # one side is zero: lift the other to the identity by a unit context
+            w = right if left == ZERO_WORD else left
+            a, b = _unit_context_reference(w, p)
+            note = "zero side: unit context"
+            if a:
+                multiply_left(a, note)
+            if b:
+                multiply_right(b, note)
+            rewrite(note)
+            continue
+
+        lx = any(r == "x" for r, _ in left)
+        rx = any(r == "x" for r, _ in right)
+        ly = any(r == "y" for r, _ in left)
+        ry = any(r == "y" for r, _ in right)
+
+        if lx and rx:
+            li, lj = _end_pair_reference(left)
+            ri, rj = _end_pair_reference(right)
+            if lj is not None and rj is not None:
+                if (li, lj) == (ri, rj):
+                    k = _least_reference(p, lambda k: f(li, lj, k))
+                    note = f"both end x s, equal pairs: strip with y{k} (C1)"
+                else:
+                    k = _least_reference(p, lambda k: f(li, lj, k) != f(ri, rj, k))
+                    note = f"both end x s, distinct pairs: split with y{k} (C5)"
+                g = (("y", k),)
+            elif lj is None and rj is None:
+                if li == ri:
+                    k = _least_reference(p, lambda k: f(li, 1, k))
+                    note = f"both end x, equal index: strip with s1 y{k} (C1)"
+                else:
+                    k = _least_reference(p, lambda k: f(li, 1, k) != f(ri, 1, k))
+                    note = f"both end x, distinct indices: split with s1 y{k} (C5)"
+                g = (("s", 1), ("y", k))
+            else:
+                i, j = (li, lj) if lj is not None else (ri, rj)
+                k = _least_reference(p, lambda k: f(i, j, k))
+                note = f"mixed ends: y{k} strips the x s side, zeroes the bare x (C1)"
+                g = (("y", k),)
+            multiply_right(g, note)
+            rewrite(note)
+            continue
+
+        if ly and ry:
+            lj, lk = _start_pair_reference(left)
+            rj, rk = _start_pair_reference(right)
+            if lj is not None and rj is not None:
+                if (lj, lk) == (rj, rk):
+                    i = _least_reference(p, lambda i: f(i, lj, lk))
+                    note = f"both start s y, equal pairs: strip with x{i} (C2)"
+                else:
+                    i = _least_reference(p, lambda i: f(i, lj, lk) != f(i, rj, rk))
+                    note = f"both start s y, distinct pairs: split with x{i} (C6)"
+                g = (("x", i),)
+            elif lj is None and rj is None:
+                if lk == rk:
+                    i = _least_reference(p, lambda i: f(i, 1, lk))
+                    note = f"both start y, equal index: strip with x{i} s1 (C2)"
+                else:
+                    i = _least_reference(p, lambda i: f(i, 1, lk) != f(i, 1, rk))
+                    note = f"both start y, distinct indices: split with x{i} s1 (C6)"
+                g = (("x", i), ("s", 1))
+            else:
+                j, k = (lj, lk) if lj is not None else (rj, rk)
+                i = _least_reference(p, lambda i: f(i, j, k))
+                note = f"mixed starts: x{i} strips the s y side, zeroes the bare y (C2)"
+                g = (("x", i),)
+            multiply_left(g, note)
+            rewrite(note)
+            continue
+
+        if lx or rx:
+            # exactly one side contains x; kill it on the right
+            w = left if lx else right
+            i, j = _end_pair_reference(w)
+            if j is None:
+                k = i
+                note = f"single x side ending x{i}: y{i} zeroes it"
+            else:
+                k = _least_reference(p, lambda k: not f(i, j, k))
+                note = f"single x side ending x{i} s{j}: y{k} colored 0 zeroes it (C3)"
+            multiply_right((("y", k),), note)
+            rewrite(note)
+            continue
+
+        if ly or ry:
+            # exactly one side contains y and no side contains x; kill it on the left
+            w = left if ly else right
+            j, k = _start_pair_reference(w)
+            if j is None:
+                i = k
+                note = f"single y side starting y{k}: x{k} zeroes it"
+            else:
+                i = _least_reference(p, lambda i: not f(i, j, k))
+                note = f"single y side starting s{j} y{k}: x{i} colored 0 zeroes it (C4)"
+            multiply_left((("x", i),), note)
+            rewrite(note)
+            continue
+
+        # both sides are the empty word or a single s-letter
+        sl = left[0][1] if left else None
+        sr = right[0][1] if right else None
+        if sl is None or sr is None:
+            j = sl if sl is not None else sr
+            k = _least_reference(p, lambda k: f(1, j, k))
+            note = f"identity vs s{j}: wrap x1 .. y{k} (C1)"
+        else:
+            k = _least_reference(p, lambda k: f(1, sl, k) != f(1, sr, k))
+            note = f"s{sl} vs s{sr}: wrap x1 .. y{k} (C5)"
+        multiply_left((("x", 1),), note)
+        multiply_right((("y", k),), note)
+        rewrite(note)
+
+    raise RuntimeError("collapse failed to terminate (invalid presentation?)")
+
+
+def _cyclic(n):
+    return CayleyTable(n, tuple(tuple((i + j) % n + 1 for j in range(n)) for i in range(n)))
+
+
+_conditions = re.compile(r"C\d").findall
+
+
+def _assert_same_as_reference(u, v, p):
+    # the same pairs and moves, and notes naming the same conditions C1..C6
+    got = [(s.pair, s.move, _conditions(s.note)) for s in collapse(u, v, p).steps]
+    want = [(s.pair, s.move, _conditions(s.note)) for s in _collapse_reference(u, v, p).steps]
+    assert got == want, (format_word(u), format_word(v))
+
+
+@pytest.mark.parametrize("name", ["trivial", "z2", "leftzero2"])
+def test_collapse_matches_reference_on_all_short_pairs(name):
+    p = _pres(name)
+    nonzero = enumerate_normal_forms(p, 3)
+    words = nonzero + [ZERO_WORD]
+    for u in nonzero:
+        assert unit_context(u, p) == _unit_context_reference(u, p), format_word(u)
+    for u in words:
+        for v in words:
+            if u != v:
+                _assert_same_as_reference(u, v, p)
+
+
+def _random_normal_form(p, rng, maxlen):
+    # extend by random letters that keep the word a normal form
+    letters = alphabet(p.n)
+    w = EMPTY_WORD
+    for _ in range(rng.randint(0, maxlen)):
+        fits = [a for a in letters if normal_form(w + (a,), p) == w + (a,)]
+        w += (rng.choice(fits),)
+    return w
+
+
+@pytest.mark.parametrize("name", ["t2", "Z_8"])
+def test_collapse_matches_reference_on_random_pairs(name):
+    p = generate_presentation(_cyclic(8), build_coloring(8)) if name == "Z_8" else _pres(name)
+    rng = random.Random(20130122)
+    words = [_random_normal_form(p, rng, 8) for _ in range(600)] + [ZERO_WORD]
+    for u in words[:-1]:
+        assert unit_context(u, p) == _unit_context_reference(u, p)
+    for _ in range(6000):
+        u, v = rng.choice(words), rng.choice(words)
+        if u != v:
+            _assert_same_as_reference(u, v, p)
