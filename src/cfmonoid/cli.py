@@ -29,7 +29,7 @@ from .presentation import (
     presentation_to_json,
     rule_counts,
 )
-from .rewrite import check_local_confluence, enumerate_normal_forms, normal_form
+from .rewrite import check_local_confluence, normal_form, write_normal_forms
 from .semigroup import BUILTIN_NAMES, builtin, parse_cayley
 from .witness import collapse, format_trace, parse_trace, verify_trace
 
@@ -139,8 +139,7 @@ def cmd_verify_trace(args) -> int:
 
 def cmd_enumerate(args) -> int:
     pres = _load_presentation(args.pres)
-    for w in enumerate_normal_forms(pres, args.maxlen):
-        print(format_word(w))
+    write_normal_forms(pres, args.maxlen, sys.stdout.write)
     return 0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .coloring import Coloring, check_conditions, conditions_ok
 from .semigroup import CayleyTable, is_associative
@@ -48,14 +49,42 @@ def _parse_token(tok: str, n: int) -> Letter:
     return (role, idx)
 
 
+class _Tokens(dict):
+    # letter -> token; a letter's token does not depend on n, so one table
+    # serves every order and is filled on first use
+    def __missing__(self, letter):
+        role, idx = letter
+        tok = self[letter] = "0" if role == "z" else f"{role}{idx}"
+        return tok
+
+
+_token = _Tokens().__getitem__
+
+
+@lru_cache(maxsize=None)
+def _letters(n: int) -> dict:
+    # token -> letter for order n: the canonical token of every letter of
+    # alphabet(n, include_zero=True), built once per n so that all words
+    # decoded for one n share one tuple per letter
+    return {_token(a): a for a in alphabet(n, include_zero=True)}
+
+
 def parse_word(text: str, n: int) -> Word:
     """Parse word syntax: whitespace-separated tokens s<i>/x<i>/y<i>, "0" for z.
 
-    "1" denotes the empty word and is only allowed as the whole word.
+    "1" denotes the empty word and is only allowed as the whole word.  Each
+    token is looked up in a table of the canonical tokens for n, cached per
+    n; a token missing from it ("1", a non-canonical spelling such as s01,
+    or an error) goes through the token parser, which accepts it or gives
+    the error message.
     """
     tokens = text.split()
     if not tokens:
         raise WordSyntaxError("empty word text; write '1' for the identity")
+    try:
+        return tuple(map(_letters(n).__getitem__, tokens))
+    except KeyError:
+        pass
     if tokens == ["1"]:
         return EMPTY_WORD
     letters = []
@@ -66,16 +95,14 @@ def parse_word(text: str, n: int) -> Word:
     return tuple(letters)
 
 
-def _token(letter: Letter) -> str:
-    role, idx = letter
-    return "0" if role == "z" else f"{role}{idx}"
-
-
 def format_word(w: Word) -> str:
-    """Inverse of parse_word; the empty word prints as "1"."""
+    """Inverse of parse_word; the empty word prints as "1".
+
+    Tokens come from one table, letter -> token, filled on first use.
+    """
     if not w:
         return "1"
-    return " ".join(_token(a) for a in w)
+    return " ".join(map(_token, w))
 
 
 def alphabet(n: int, include_zero: bool = False) -> tuple:
@@ -180,13 +207,6 @@ def rule_counts(p: Presentation) -> dict:
     return counts
 
 
-class _QuotedTokens(dict):
-    # letter -> its token as a JSON string literal, encoded on first use
-    def __missing__(self, letter):
-        quoted = self[letter] = json.dumps(_token(letter))
-        return quoted
-
-
 def presentation_to_json(p: Presentation) -> str:
     """Serialize with deterministic key order; the rule list is stored explicitly.
 
@@ -196,7 +216,8 @@ def presentation_to_json(p: Presentation) -> str:
     with an indent CPython falls back to its pure-Python encoder, which for
     the (n+1) n (n+1) B rules of a large n is slow and holds millions of
     small chunks at once.  Each rule is written from one template instead;
-    family names are plain identifiers and each token is encoded once.
+    family names and tokens are plain identifiers that JSON quotes as they
+    are, and tokens come from the table that format_word uses.
     """
     header = json.dumps(
         {
@@ -208,12 +229,11 @@ def presentation_to_json(p: Presentation) -> str:
     )
     if not p.rules:
         return header[:-2] + ',\n "rules": []\n}'
-    quoted = _QuotedTokens()
 
     def word(w):
         if not w:
             return "[]"
-        return "[\n    " + ",\n    ".join([quoted[a] for a in w]) + "\n   ]"
+        return '[\n    "' + '",\n    "'.join(map(_token, w)) + '"\n   ]'
 
     rules = ",\n".join([
         f'  {{\n   "family": "{r.family}",\n   "lhs": {word(r.lhs)},\n   "rhs": {word(r.rhs)}\n  }}'
@@ -235,19 +255,44 @@ def _int_array(value, shape: tuple, lo: int, hi: int, name: str) -> tuple:
     return tuple(value)
 
 
-def _check_b_rules(rules: tuple, coloring: Coloring) -> None:
-    # a rule x_i s_j y_k -> w must have w = 1 where f(i, j, k) = 1 and w = 0
-    # where f(i, j, k) = 0, or the rules do not encode the coloring checked
+# the roles of a left side's letters -> the family of that shape; z z is a
+# Z_right left side (a z -> z with a = z)
+_FAMILY_OF_SHAPE = {
+    ("s", "s"): "A",
+    ("x", "s", "y"): "B",
+    ("x", "y"): "C",
+    **{("z", role): "Z_left" for role in "sxy"},
+    **{(role, "z"): "Z_right" for role in "sxyz"},
+}
+
+
+def _check_rules(rules: tuple, coloring: Coloring) -> None:
+    # a rule's family is the one its left side's shape gives, so a census by
+    # family counts what the rules are; a rule x_i s_j y_k -> w must have
+    # w = 1 where f(i, j, k) = 1 and w = 0 where f(i, j, k) = 0, or the
+    # rules do not encode the coloring checked
+    shape_family = _FAMILY_OF_SHAPE.get
+    bits = coloring.bits
+    rhs_for_bit = (ZERO_WORD, EMPTY_WORD)
     for r in rules:
         lhs = r.lhs
-        if len(lhs) == 3 and lhs[0][0] == "x" and lhs[1][0] == "s" and lhs[2][0] == "y":
-            (_, i), (_, j), (_, k) = lhs
-            bit = coloring.bits[i - 1][j - 1][k - 1]
-            if r.rhs != (EMPTY_WORD if bit == 1 else ZERO_WORD):
-                raise ValueError(
-                    f"invalid presentation file: rule {format_word(lhs)} -> {format_word(r.rhs)}"
-                    f" disagrees with the coloring, which has f({i}, {j}, {k}) = {bit}"
-                )
+        if len(lhs) == 3:
+            (x, i), (s, j), (y, k) = lhs
+            family = shape_family((x, s, y))
+        else:
+            family = shape_family((lhs[0][0], lhs[1][0]))
+        if family != r.family:
+            gives = f"family {family}" if family else "no family"
+            raise ValueError(
+                f"invalid presentation file: rule {format_word(lhs)} -> {format_word(r.rhs)}"
+                f" is labelled {r.family} but its left side gives {gives}"
+            )
+        if family == "B" and r.rhs != rhs_for_bit[bits[i - 1][j - 1][k - 1]]:
+            bit = bits[i - 1][j - 1][k - 1]
+            raise ValueError(
+                f"invalid presentation file: rule {format_word(lhs)} -> {format_word(r.rhs)}"
+                f" disagrees with the coloring, which has f({i}, {j}, {k}) = {bit}"
+            )
 
 
 def presentation_from_json(text: str) -> Presentation:
@@ -256,13 +301,16 @@ def presentation_from_json(text: str) -> Presentation:
     The shapes are checked: n >= 1, table n x n with entries in 1..n, and
     coloring (n+1) x n x (n+1) with entries 0 or 1.  Every rule x_i s_j y_k
     -> w must agree with the stored coloring: w is 1 where f(i, j, k) = 1
-    and 0 where f(i, j, k) = 0.  No two rules may share a left side: the
+    and 0 where f(i, j, k) = 0.  Every rule's family label must be the one
+    its left side's shape gives (ss is A, xsy B, xy C, z a Z_left, a z
+    Z_right, z z included).  No two rules may share a left side: the
     reducer keeps one rule per left side and the critical pairs never pair
     two equal ones, so the other would go unchecked.  Any malformed field,
-    disagreeing rule or repeated left side raises ValueError.  Tokens are
-    decoded by lookup in a table built once per load, so all rules share one
-    tuple per letter; a token missing from it goes through the word parser,
-    which gives the error message.
+    mislabelled or disagreeing rule or repeated left side raises
+    ValueError.  Tokens are decoded by lookup in the token table that
+    parse_word uses, cached per n, so all rules share one tuple per letter;
+    a token missing from it goes through the token parser, which gives the
+    error message.
     """
     try:
         data = json.loads(text)
@@ -274,18 +322,18 @@ def presentation_from_json(text: str) -> Presentation:
             raise ValueError(f"invalid presentation file: n must be a positive integer, got {n!r}")
         table = CayleyTable(n, _int_array(data["table"], (n, n), 1, n, "table"))
         coloring = Coloring(n, _int_array(data["coloring"], (n + 1, n, n + 1), 0, 1, "coloring"))
-        letters = {_token(a): a for a in alphabet(n, include_zero=True)}
+        letter = _letters(n).__getitem__
 
         def word(tokens):
             try:
-                return tuple(map(letters.__getitem__, tokens))
+                return tuple(map(letter, tokens))
             except (KeyError, TypeError):
                 return tuple(_parse_token(t, n) for t in tokens)
 
         rules = tuple(Rule(word(r["lhs"]), word(r["rhs"]), r["family"]) for r in data["rules"])
     except (KeyError, TypeError, IndexError) as e:
         raise ValueError(f"invalid presentation file: {e}") from None
-    _check_b_rules(rules, coloring)
+    _check_rules(rules, coloring)
     pres = Presentation(n, table, coloring, rules)
     if len(pres.lhs_map) != len(rules):
         seen = set()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .presentation import EMPTY_WORD, Presentation, Rule, Word, alphabet
+from .presentation import EMPTY_WORD, Presentation, Rule, Word, alphabet, format_word
 
 
 def normal_form(w: Word, p: Presentation) -> Word:
@@ -130,29 +130,83 @@ def check_local_confluence(p: Presentation):
     return first_bad is None, first_bad, pairs
 
 
+class _Successors(dict):
+    """tail -> (child tails, child tokens) for the nonzero normal forms of p.
+
+    A normal form w extends by a letter a iff a completes no left side that
+    ends with w's last one or two letters (every left side has 2 or 3), so
+    the letters that extend w depend only on its tail, the last <= 2
+    letters.  A child w a has the tail (last letter of w, a) and a's token.
+    Children come in alphabet order; each tail's entry is made on first use.
+    """
+
+    def __init__(self, p: Presentation):
+        super().__init__()
+        # left side minus its last letter -> the letters that complete it
+        self.completes = defaultdict(set)
+        for lhs in p.lhs_map:
+            self.completes[lhs[:-1]].add(lhs[-1])
+        self.letters = [(a, format_word((a,))) for a in alphabet(p.n)]
+
+    def __missing__(self, tail):
+        none = frozenset()
+        last = tail[-1:]
+        banned = self.completes.get(last, none) | self.completes.get(tail, none)
+        kids = [(last + (a,), tok) for a, tok in self.letters if a not in banned]
+        entry = self[tail] = (tuple(t for t, _ in kids), tuple(tok for _, tok in kids))
+        return entry
+
+
+def _check_maxlen(maxlen: int) -> None:
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be non-negative, got {maxlen}")
+
+
 def enumerate_normal_forms(p: Presentation, maxlen: int) -> list:
     """Nonzero normal forms of length <= maxlen, in length-lexicographic order.
 
     Includes the empty word, excludes the zero word; callers that need the
-    zero add it themselves.  A negative maxlen raises ValueError.
+    zero add it themselves.  A negative maxlen raises ValueError.  Each
+    layer is the last one's words extended by the letters that the successor
+    table gives for their tails; write_normal_forms reads the same table.
     """
-    if maxlen < 0:
-        raise ValueError(f"maxlen must be non-negative, got {maxlen}")
-    # left side minus its last letter -> the letters that complete it; a
-    # normal form w extends by a iff a completes neither its last one nor
-    # its last two letters
-    completes = defaultdict(set)
-    for lhs in p.lhs_map:
-        completes[lhs[:-1]].add(lhs[-1])
-    no_letters = frozenset()
-    letters = alphabet(p.n)
+    _check_maxlen(maxlen)
+    successors = _Successors(p)
     out = [EMPTY_WORD]
     layer = [EMPTY_WORD]
     for _ in range(maxlen):
         nxt = []
         for w in layer:
-            banned = completes.get(w[-1:], no_letters) | completes.get(w[-2:], no_letters)
-            nxt.extend(w + (a,) for a in letters if a not in banned)
+            nxt.extend(w + t[-1:] for t in successors[w[-2:]][0])
         out.extend(nxt)
         layer = nxt
     return out
+
+
+def write_normal_forms(p: Presentation, maxlen: int, write) -> None:
+    """Write enumerate_normal_forms(p, maxlen) as text, one word per line.
+
+    Each line is format_word of the word, in the same order, but no word is
+    built as a tuple: a word is its tail and its text, and a child's line is
+    its parent's text plus the child's token.  The walk goes layer by layer
+    and keeps only the words shorter than maxlen; all children of one parent
+    go out in one write call, and the last layer is written, never kept, so
+    memory holds about one layer of text.  A negative maxlen raises
+    ValueError before anything is written.
+    """
+    _check_maxlen(maxlen)
+    successors = _Successors(p)
+    write("1\n")
+    layer = [(EMPTY_WORD, "")]
+    for length in range(1, maxlen + 1):
+        keep = length < maxlen
+        nxt = []
+        for tail, text in layer:
+            tails, tokens = successors[tail]
+            if not tokens:
+                continue
+            pre = text + " " if text else ""
+            write(pre + ("\n" + pre).join(tokens) + "\n")
+            if keep:
+                nxt.extend(zip(tails, [pre + tok for tok in tokens]))
+        layer = nxt

@@ -1,10 +1,16 @@
+import contextlib
+import hashlib
 import json
+import time
+import tracemalloc
+from collections import defaultdict
 
 import pytest
 
 from cfmonoid.cli import main
 from cfmonoid.coloring import Coloring, build_coloring, format_coloring
-from cfmonoid.presentation import presentation_from_json
+from cfmonoid.presentation import EMPTY_WORD, alphabet, format_word, presentation_from_json
+from cfmonoid.semigroup import BUILTIN_NAMES, CayleyTable, format_cayley
 
 
 @pytest.fixture
@@ -248,6 +254,99 @@ def test_enumerate(trivial_pres, capsys):
     assert "s1" in lines and "x2 s1" in lines
 
 
+def _reference_enumerate(p, maxlen):
+    # the former enumerate_normal_forms, kept as the reference: every word of
+    # every length is built as a tuple before any is printed
+    completes = defaultdict(set)
+    for lhs in p.lhs_map:
+        completes[lhs[:-1]].add(lhs[-1])
+    no_letters = frozenset()
+    letters = alphabet(p.n)
+    out = [EMPTY_WORD]
+    layer = [EMPTY_WORD]
+    for _ in range(maxlen):
+        nxt = []
+        for w in layer:
+            banned = completes.get(w[-1:], no_letters) | completes.get(w[-2:], no_letters)
+            nxt.extend(w + (a,) for a in letters if a not in banned)
+        out.extend(nxt)
+        layer = nxt
+    return out
+
+
+def _reference_enumerate_command(pres_path, maxlen):
+    # the former cmd_enumerate: one print per word
+    for w in _reference_enumerate(presentation_from_json(pres_path.read_text()), maxlen):
+        print(format_word(w))
+
+
+def _built(tmp_path, name):
+    out = tmp_path / f"{name}.json"
+    if name == "Z_8":
+        cayley = tmp_path / "z8.txt"
+        rows = tuple(tuple((i + j) % 8 + 1 for j in range(8)) for i in range(8))
+        cayley.write_text(format_cayley(CayleyTable(8, rows)))
+        assert main(["build", "--cayley", str(cayley), "--out", str(out)]) == 0
+    else:
+        assert main(["build", "--builtin", name, "--out", str(out)]) == 0
+    return out
+
+
+def _first_difference(got, want):
+    # (line number, got line, wanted line) where two outputs part, or None;
+    # pytest's own diff of two texts of 10^5 lines would take minutes
+    if got == want:
+        return None
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return at + 1, got[at:at + 1], want[at:at + 1]
+
+
+@pytest.mark.parametrize(
+    "name, maxlens",
+    [(name, range(4)) for name in BUILTIN_NAMES + ("Z_8",)] + [("t2", [5])],
+    ids=[f"{name}-maxlen0-3" for name in BUILTIN_NAMES + ("Z_8",)] + ["t2-maxlen5"],
+)
+def test_enumerate_output_matches_the_reference(tmp_path, capsys, name, maxlens):
+    pres = _built(tmp_path, name)
+    for maxlen in maxlens:
+        capsys.readouterr()
+        _reference_enumerate_command(pres, maxlen)
+        want = capsys.readouterr().out
+        assert main(["enumerate", "--pres", str(pres), "--maxlen", str(maxlen)]) == 0
+        assert _first_difference(capsys.readouterr().out, want) is None
+
+
+class _HashingSink:
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text):
+        self.sha256.update(text.encode())
+
+
+def test_enumerate_streams(tmp_path):
+    # 150 505 lines for t2 at maxlen 5: the former command held every word as
+    # a tuple (13.8 MiB traced, 3.1 s); the walk keeps only the words shorter
+    # than maxlen, as text (2.1 MiB, 0.3 s)
+    pres = _built(tmp_path, "t2")
+    sink = _HashingSink()
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            rc = main(["enumerate", "--pres", str(pres), "--maxlen", "5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    # the former command's output, hashed
+    assert sink.sha256.hexdigest() == "a4c33eb58ccee9345d759428b81dbfeaddbef7cba77db1724443555dd9fd7583"
+    assert peak < 5 * 2**20
+    assert elapsed < 2.0
+
+
 def test_deterministic_outputs(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["build", "--builtin", "t2", "--out", str(out1)]) == 0
@@ -311,6 +410,25 @@ def test_enumerate_negative_maxlen_exits_2(trivial_pres, capsys):
     assert rc == 2
     assert captured.out == ""
     assert "maxlen" in captured.err
+
+
+@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
+def test_relabelled_rules_exit_2(z2_pres, tmp_path, capsys, command):
+    # with every C rule x_i y_j -> 0 labelled A, the census by family pair
+    # would show no C rows and still report a complete system
+    data = json.loads(z2_pres.read_text())
+    for r in data["rules"]:
+        if r["family"] == "C":
+            r["family"] = "A"
+    bad = tmp_path / "relabelled.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main([command, "--pres", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "rule x1 y1 -> 0 is labelled A but its left side gives family C" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def _flip_b_rule(pres_path, tmp_path, lhs, rhs):

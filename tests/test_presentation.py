@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from cfmonoid.presentation import (
     WordSyntaxError,
     ZERO_LETTER,
     ZERO_WORD,
+    _parse_token,
     _token,
     alphabet,
     format_word,
@@ -92,6 +94,43 @@ def test_one_only_alone():
 def test_parse_empty_text():
     with pytest.raises(WordSyntaxError):
         parse_word("   ", 2)
+
+
+def _reference_parse_word(text, n):
+    # the former parse_word, kept as the reference: every token goes through
+    # the token parser
+    tokens = text.split()
+    if not tokens:
+        raise WordSyntaxError("empty word text; write '1' for the identity")
+    if tokens == ["1"]:
+        return EMPTY_WORD
+    letters = []
+    for tok in tokens:
+        if tok == "1":
+            raise WordSyntaxError("'1' is only allowed as the whole word")
+        letters.append(_parse_token(tok, n))
+    return tuple(letters)
+
+
+def _parsed(parse, text, n):
+    try:
+        return parse(text, n)
+    except WordSyntaxError as e:
+        return f"WordSyntaxError: {e}"
+
+
+def test_parse_word_matches_the_token_parser():
+    rng = random.Random(20131)
+    texts = ["1", "0", "s01", "x02", "y002 s01", "s1 1", "1 1", "", "   ", "q1", "s", "s0", "s-1", "x", "S1"]
+    for n in range(1, 5):
+        tokens = [format_word((a,)) for a in alphabet(n, include_zero=True)]
+        texts += tokens
+        texts += [" ".join(rng.choices(tokens, k=rng.randint(1, 8))) for _ in range(50)]
+        texts += [f"{tok} s{n + 1}" for tok in tokens] + [f"x{n + 2} {tok}" for tok in tokens]
+    for text in texts:
+        for n in range(1, 5):
+            assert _parsed(parse_word, text, n) == _parsed(_reference_parse_word, text, n), (text, n)
+    assert parse_word("s01 x02", 2) == (("s", 1), ("x", 2))
 
 
 def test_format_word():
@@ -305,6 +344,36 @@ def test_json_rejects_b_rule_disagreeing_with_the_coloring(lhs, rhs, error):
     with pytest.raises(ValueError) as e:
         presentation_from_json(json.dumps(data))
     assert str(e.value) == f"invalid presentation file: {error}"
+
+
+@pytest.mark.parametrize(
+    "lhs, family, error",
+    [
+        ("x1 y1", "A", "rule x1 y1 -> 0 is labelled A but its left side gives family C"),
+        ("s2 s1", "Z_left", "rule s2 s1 -> s2 is labelled Z_left but its left side gives family A"),
+        ("0 0", "Z_left", "rule 0 0 -> 0 is labelled Z_left but its left side gives family Z_right"),
+        ("0 x3", "Z_right", "rule 0 x3 -> 0 is labelled Z_right but its left side gives family Z_left"),
+        ("x1 s2 y3", "C", "rule x1 s2 y3 -> 1 is labelled C but its left side gives family B"),
+    ],
+    ids=["C-as-A", "A-as-Z_left", "zz-as-Z_left", "Z_left-as-Z_right", "B-as-C"],
+)
+def test_json_rejects_a_family_label_that_the_left_side_does_not_give(lhs, family, error):
+    data = _json_data(_pres("z2"))
+    (rule,) = [r for r in data["rules"] if r["lhs"] == lhs.split()]
+    rule["family"] = family
+    with pytest.raises(ValueError) as e:
+        presentation_from_json(json.dumps(data))
+    assert str(e.value) == f"invalid presentation file: {error}"
+
+
+def test_json_rejects_a_left_side_of_no_rule_family():
+    data = _json_data(_pres("z2"))
+    data["rules"].append({"family": "A", "lhs": ["s1", "x1"], "rhs": ["x1"]})
+    with pytest.raises(ValueError) as e:
+        presentation_from_json(json.dumps(data))
+    assert str(e.value) == (
+        "invalid presentation file: rule s1 x1 -> x1 is labelled A but its left side gives no family"
+    )
 
 
 def test_json_bad_input():
