@@ -4,7 +4,9 @@ A letter is a (role, index) pair with role one of "s", "x", "y", "z"; the zero
 letter z carries index 0.  A word is a tuple of letters; the empty tuple is
 the monoid identity.  Rules come in five families, all strictly
 length-reducing; Rule accepts only left sides of 2 or 3 letters and right
-sides of at most 1, the shapes the rewriting engine is built for:
+sides of at most 1, the shapes the rewriting engine is built for.  The roles
+of a left side's letters fix its family (_FAMILY_OF_SHAPE, the one definition
+of the rule set):
 
   A:       s_i s_j     -> s_{t(i,j)}   (the Cayley table)
   B:       x_i s_j y_k -> 1 or 0       (the coloring decides)
@@ -16,6 +18,8 @@ sides of at most 1, the shapes the rewriting engine is built for:
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,7 +33,19 @@ ZERO_LETTER = ("z", 0)
 EMPTY_WORD = ()
 ZERO_WORD = (ZERO_LETTER,)
 
-RULE_FAMILIES = ("A", "B", "C", "Z_left", "Z_right")
+# the roles of a left side's letters -> the family of that shape; z z is a
+# Z_right left side (a z -> z with a = z)
+_FAMILY_OF_SHAPE = {
+    ("s", "s"): "A",
+    ("x", "s", "y"): "B",
+    ("x", "y"): "C",
+    **{("z", role): "Z_left" for role in "sxy"},
+    **{(role, "z"): "Z_right" for role in "sxyz"},
+}
+RULE_FAMILIES = tuple(dict.fromkeys(_FAMILY_OF_SHAPE.values()))
+
+# the right side of the B rule x_i s_j y_k, indexed by the bit f(i, j, k)
+_B_RHS = (ZERO_WORD, EMPTY_WORD)
 
 
 class WordSyntaxError(ValueError):
@@ -119,11 +135,12 @@ def alphabet(n: int, include_zero: bool = False) -> tuple:
     return tuple(letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
+    """A rule lhs -> rhs; its family is read off the roles of lhs, not stored."""
+
     lhs: Word
     rhs: Word
-    family: str
 
     def __post_init__(self):
         if len(self.lhs) not in (2, 3) or len(self.rhs) > 1:
@@ -131,8 +148,12 @@ class Rule:
                 "rule must be length-reducing with a left side of 2 or 3 letters and a right side"
                 f" of at most 1: {format_word(self.lhs)} -> {format_word(self.rhs)}"
             )
-        if self.family not in RULE_FAMILIES:
-            raise ValueError(f"unknown rule family {self.family!r}")
+
+    @property
+    def family(self):
+        """The family that _FAMILY_OF_SHAPE gives the roles of lhs; None outside the five."""
+        w = self.lhs
+        return _FAMILY_OF_SHAPE.get((w[0][0], w[1][0]) if len(w) == 2 else (w[0][0], w[1][0], w[2][0]))
 
 
 class NotAssociativeError(ValueError):
@@ -171,24 +192,25 @@ def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
     rules = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            rules.append(Rule((("s", i), ("s", j)), (("s", table.mul(i, j)),), "A"))
+            rules.append(Rule((("s", i), ("s", j)), (("s", table.mul(i, j)),)))
     for i, plane in enumerate(coloring.bits, start=1):
         for j, row in enumerate(plane, start=1):
             for k, bit in enumerate(row, start=1):
-                rhs = EMPTY_WORD if bit == 1 else ZERO_WORD
-                rules.append(Rule((("x", i), ("s", j), ("y", k)), rhs, "B"))
+                rules.append(Rule((("x", i), ("s", j), ("y", k)), _B_RHS[bit]))
     for i in range(1, size + 1):
         for j in range(1, size + 1):
-            rules.append(Rule((("x", i), ("y", j)), ZERO_WORD, "C"))
+            rules.append(Rule((("x", i), ("y", j)), ZERO_WORD))
     for a in alphabet(n):
-        rules.append(Rule((ZERO_LETTER, a), ZERO_WORD, "Z_left"))
+        rules.append(Rule((ZERO_LETTER, a), ZERO_WORD))
     for a in alphabet(n, include_zero=True):
-        rules.append(Rule((a, ZERO_LETTER), ZERO_WORD, "Z_right"))
+        rules.append(Rule((a, ZERO_LETTER), ZERO_WORD))
     return Presentation(n, table, coloring, tuple(rules))
 
 
-def generate_presentation(table: CayleyTable, coloring: Coloring) -> Presentation:
-    """Generate the full rule set for an associative table and a valid coloring."""
+def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
+    # the construction's inputs: one order, an associative table (else
+    # NotAssociativeError) and a coloring that passes C1..C6 (else
+    # ColoringConditionError with the full report)
     if table.n != coloring.n:
         raise ValueError(f"order mismatch: table n={table.n}, coloring n={coloring.n}")
     ok, triple = is_associative(table)
@@ -197,14 +219,23 @@ def generate_presentation(table: CayleyTable, coloring: Coloring) -> Presentatio
     report = check_conditions(coloring)
     if not conditions_ok(report):
         raise ColoringConditionError(report)
+
+
+def generate_presentation(table: CayleyTable, coloring: Coloring) -> Presentation:
+    """Generate the full rule set for an associative table and a valid coloring.
+
+    A table and coloring of different orders raise ValueError, a
+    non-associative table NotAssociativeError and a coloring that fails
+    C1..C6 ColoringConditionError.  Rules come family by family in the order
+    of RULE_FAMILIES, each family's left sides in lexicographic order.
+    """
+    _check_table_and_coloring(table, coloring)
     return _generate_unchecked(table, coloring)
 
 
-def rule_counts(p: Presentation) -> dict:
-    counts = {fam: 0 for fam in RULE_FAMILIES}
-    for r in p.rules:
-        counts[r.family] += 1
-    return counts
+def rule_counts(p: Presentation) -> Counter:
+    """Rules by Rule.family (None for a left side of no family); a family with no rule counts 0."""
+    return Counter(r.family for r in p.rules)
 
 
 def presentation_to_json(p: Presentation) -> str:
@@ -255,62 +286,62 @@ def _int_array(value, shape: tuple, lo: int, hi: int, name: str) -> tuple:
     return tuple(value)
 
 
-# the roles of a left side's letters -> the family of that shape; z z is a
-# Z_right left side (a z -> z with a = z)
-_FAMILY_OF_SHAPE = {
-    ("s", "s"): "A",
-    ("x", "s", "y"): "B",
-    ("x", "y"): "C",
-    **{("z", role): "Z_left" for role in "sxy"},
-    **{(role, "z"): "Z_right" for role in "sxyz"},
-}
-
-
-def _check_rules(rules: tuple, coloring: Coloring) -> None:
-    # a rule's family is the one its left side's shape gives, so a census by
-    # family counts what the rules are; a rule x_i s_j y_k -> w must have
-    # w = 1 where f(i, j, k) = 1 and w = 0 where f(i, j, k) = 0, or the
-    # rules do not encode the coloring checked
-    shape_family = _FAMILY_OF_SHAPE.get
+def _check_rules(rules: tuple, labels: list, coloring: Coloring) -> None:
+    # a stored label must be the family its left side gives (a null label
+    # on a left side of no family included), so a census by family counts
+    # what the rules are; a rule x_i s_j y_k -> w must have w = 1 where
+    # f(i, j, k) = 1 and w = 0 where f(i, j, k) = 0, or the rules do not
+    # encode the coloring checked; C, Z_left and Z_right rules rewrite to 0
     bits = coloring.bits
-    rhs_for_bit = (ZERO_WORD, EMPTY_WORD)
-    for r in rules:
-        lhs = r.lhs
-        if len(lhs) == 3:
-            (x, i), (s, j), (y, k) = lhs
-            family = shape_family((x, s, y))
-        else:
-            family = shape_family((lhs[0][0], lhs[1][0]))
-        if family != r.family:
+    for r, label in zip(rules, labels):
+        family = r.family
+        if family != label or family is None:
             gives = f"family {family}" if family else "no family"
             raise ValueError(
-                f"invalid presentation file: rule {format_word(lhs)} -> {format_word(r.rhs)}"
-                f" is labelled {r.family} but its left side gives {gives}"
+                f"invalid presentation file: rule {format_word(r.lhs)} -> {format_word(r.rhs)}"
+                f" is labelled {label} but its left side gives {gives}"
             )
-        if family == "B" and r.rhs != rhs_for_bit[bits[i - 1][j - 1][k - 1]]:
+        if family == "B":
+            (_, i), (_, j), (_, k) = r.lhs
             bit = bits[i - 1][j - 1][k - 1]
+            if r.rhs != _B_RHS[bit]:
+                raise ValueError(
+                    f"invalid presentation file: rule {format_word(r.lhs)} -> {format_word(r.rhs)}"
+                    f" disagrees with the coloring, which has f({i}, {j}, {k}) = {bit}"
+                )
+        elif family != "A" and r.rhs != ZERO_WORD:
             raise ValueError(
-                f"invalid presentation file: rule {format_word(lhs)} -> {format_word(r.rhs)}"
-                f" disagrees with the coloring, which has f({i}, {j}, {k}) = {bit}"
+                f"invalid presentation file: rule {format_word(r.lhs)} -> {format_word(r.rhs)}"
+                f" is not the paper's construction, where every {family} rule rewrites to 0"
             )
+
+
+def _rule_count(n: int) -> int:
+    # one rule per left side of each shape: n letters s, n + 1 letters x and
+    # y each, and the one letter z
+    letters = {"s": n, "x": n + 1, "y": n + 1, "z": 1}
+    return sum(math.prod(letters[role] for role in shape) for shape in _FAMILY_OF_SHAPE)
 
 
 def presentation_from_json(text: str) -> Presentation:
     """Load a serialized presentation verbatim; stored rules are not regenerated.
 
-    The shapes are checked: n >= 1, table n x n with entries in 1..n, and
-    coloring (n+1) x n x (n+1) with entries 0 or 1.  Every rule x_i s_j y_k
-    -> w must agree with the stored coloring: w is 1 where f(i, j, k) = 1
-    and 0 where f(i, j, k) = 0.  Every rule's family label must be the one
-    its left side's shape gives (ss is A, xsy B, xy C, z a Z_left, a z
-    Z_right, z z included).  No two rules may share a left side: the
-    reducer keeps one rule per left side and the critical pairs never pair
-    two equal ones, so the other would go unchecked.  Any malformed field,
-    mislabelled or disagreeing rule or repeated left side raises
-    ValueError.  Tokens are decoded by lookup in the token table that
-    parse_word uses, cached per n, so all rules share one tuple per letter;
-    a token missing from it goes through the token parser, which gives the
-    error message.
+    The file must hold the paper's construction for its table, apart from
+    the A right sides, which check-embed compares with the table.  The
+    checks run in this order, and the first failure raises ValueError:
+    n >= 1, table n x n with entries in 1..n, and coloring (n+1) x n x (n+1)
+    with entries 0 or 1; the table must be associative (NotAssociativeError)
+    and the coloring must pass C1..C6 (ColoringConditionError); every rule
+    must be length-reducing with a left side of 2 or 3 letters; no two
+    rules may share a left side, since the reducer keeps one rule per left
+    side and the critical pairs never pair two equal ones; every stored
+    family label must be Rule.family, the family of its left side; a rule
+    x_i s_j y_k -> w must have w = 1 where f(i, j, k) = 1 and w = 0 where
+    f(i, j, k) = 0, and every C, Z_left and Z_right rule must rewrite to 0;
+    and there must be a rule for every left side of the five families.
+    Tokens are decoded by lookup in the token table that parse_word uses,
+    cached per n, so all rules share one tuple per letter; a token missing
+    from it goes through the token parser, which gives the error message.
     """
     try:
         data = json.loads(text)
@@ -322,6 +353,7 @@ def presentation_from_json(text: str) -> Presentation:
             raise ValueError(f"invalid presentation file: n must be a positive integer, got {n!r}")
         table = CayleyTable(n, _int_array(data["table"], (n, n), 1, n, "table"))
         coloring = Coloring(n, _int_array(data["coloring"], (n + 1, n, n + 1), 0, 1, "coloring"))
+        _check_table_and_coloring(table, coloring)
         letter = _letters(n).__getitem__
 
         def word(tokens):
@@ -330,15 +362,23 @@ def presentation_from_json(text: str) -> Presentation:
             except (KeyError, TypeError):
                 return tuple(_parse_token(t, n) for t in tokens)
 
-        rules = tuple(Rule(word(r["lhs"]), word(r["rhs"]), r["family"]) for r in data["rules"])
+        records = data["rules"]
+        rules = tuple(Rule(word(r["lhs"]), word(r["rhs"])) for r in records)
+        labels = [r["family"] for r in records]
     except (KeyError, TypeError, IndexError) as e:
         raise ValueError(f"invalid presentation file: {e}") from None
-    _check_rules(rules, coloring)
     pres = Presentation(n, table, coloring, rules)
-    if len(pres.lhs_map) != len(rules):
+    lhs_map = pres.lhs_map
+    if len(lhs_map) != len(rules):
         seen = set()
         for r in rules:
             if r.lhs in seen:
                 raise ValueError(f"invalid presentation file: two rules for the left side {format_word(r.lhs)}")
             seen.add(r.lhs)
+    _check_rules(rules, labels, coloring)
+    # every left side has a family and none repeats, so a short count means a
+    # missing rule; the first one in generator order is named
+    if len(rules) != _rule_count(n):
+        missing = next(r.lhs for r in _generate_unchecked(table, coloring).rules if r.lhs not in lhs_map)
+        raise ValueError(f"invalid presentation file: no rule for the left side {format_word(missing)}")
     return pres

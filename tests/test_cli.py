@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import random
 import time
 import tracemalloc
 from collections import defaultdict
@@ -9,7 +10,14 @@ import pytest
 
 from cfmonoid.cli import main
 from cfmonoid.coloring import Coloring, build_coloring, format_coloring
-from cfmonoid.presentation import EMPTY_WORD, alphabet, format_word, presentation_from_json
+from cfmonoid.presentation import (
+    EMPTY_WORD,
+    RULE_FAMILIES,
+    _token,
+    alphabet,
+    format_word,
+    presentation_from_json,
+)
 from cfmonoid.semigroup import BUILTIN_NAMES, CayleyTable, format_cayley
 
 
@@ -402,6 +410,88 @@ def test_collapse_on_coloring_failing_c1_exits_4(z2_pres, tmp_path, capsys):
     assert rc == 4
     assert captured.err.startswith("error: coloring fails C1")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
+def test_file_with_a_non_associative_table_exits_3(z2_pres, tmp_path, capsys, command):
+    # A rules that match the stored table do not make it associative
+    data = json.loads(z2_pres.read_text())
+    data["table"] = [[2, 1], [1, 1]]
+    for r in data["rules"]:
+        if r["family"] == "A":
+            i, j = (int(t[1:]) for t in r["lhs"])
+            r["rhs"] = [f"s{data['table'][i - 1][j - 1]}"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main([command, "--pres", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "not associative at triple (1, 1, 2)" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
+def test_file_with_a_coloring_failing_c1_exits_4(z2_pres, tmp_path, capsys, command):
+    # B rules that match the stored coloring do not make it pass C1..C6
+    data = json.loads(z2_pres.read_text())
+    data["coloring"][0][0] = [0] * len(data["coloring"][0][0])
+    for r in data["rules"]:
+        if r["family"] == "B" and r["lhs"][:2] == ["x1", "s1"]:
+            r["rhs"] = ["0"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main([command, "--pres", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err.startswith("error: coloring fails C1")
+    assert captured.out == ""
+
+
+def _mutations(data, rng):
+    # every deleted rule, every rule given the right side 1, 0 or a random
+    # letter other than its own, every rule relabelled to each other family,
+    # and 50 random 2- or 3-letter rules, each added on its own
+    rules = data["rules"]
+    n = data["n"]
+    letters = [_token(a) for a in alphabet(n)]
+    tokens = letters + ["0"]
+    for t, r in enumerate(rules):
+        yield f"delete {t}", rules[:t] + rules[t + 1:]
+        other = rng.choice([a for a in letters if [a] != r["rhs"]])
+        for rhs in ([], ["0"], [other]):
+            if rhs != r["rhs"]:
+                yield f"rhs {t} {rhs}", rules[:t] + [{**r, "rhs": rhs}] + rules[t + 1:]
+        for family in RULE_FAMILIES:
+            if family != r["family"]:
+                yield f"relabel {t} {family}", rules[:t] + [{**r, "family": family}] + rules[t + 1:]
+    for _ in range(50):
+        lhs = [rng.choice(tokens) for _ in range(rng.choice((2, 3)))]
+        rhs = rng.choice([[], ["0"], [rng.choice(letters)]])
+        at = rng.randint(0, len(rules))
+        added = {"family": rng.choice(RULE_FAMILIES), "lhs": lhs, "rhs": rhs}
+        yield f"add {added}", rules[:at] + [added] + rules[at:]
+
+
+@pytest.mark.parametrize("name", ["z2", "leftzero2"])
+def test_every_mutated_presentation_fails_a_check(tmp_path, capsys, name):
+    # a file that passes check-complete and check-embed is the construction
+    # for its table: no deleted, changed, relabelled or added rule passes both
+    clean = tmp_path / "clean.json"
+    assert main(["build", "--builtin", name, "--out", str(clean)]) == 0
+    data = json.loads(clean.read_text())
+    mutations = list(_mutations(data, random.Random(20130122)))
+    # per rule: a deletion, at least two other right sides, four other labels
+    assert len(mutations) >= 7 * len(data["rules"]) + 50
+    path = tmp_path / "mutated.json"
+    passed = []
+    for what, rules in mutations:
+        path.write_text(json.dumps({**data, "rules": rules}))
+        if main(["check-embed", "--pres", str(path)]) == 0 and main(["check-complete", "--pres", str(path)]) == 0:
+            passed.append(what)
+    capsys.readouterr()
+    assert passed == []
 
 
 def test_enumerate_negative_maxlen_exits_2(trivial_pres, capsys):

@@ -9,6 +9,7 @@ from cfmonoid.presentation import (
     ColoringConditionError,
     NotAssociativeError,
     Presentation,
+    RULE_FAMILIES,
     Rule,
     WordSyntaxError,
     ZERO_LETTER,
@@ -217,9 +218,24 @@ def test_all_rules_length_reducing(name):
 
 def test_rule_constructor_rejects_non_reducing():
     with pytest.raises(ValueError, match="length-reducing"):
-        Rule((("s", 1),), (("s", 1), ("s", 1)), "A")
-    with pytest.raises(ValueError, match="unknown rule family"):
-        Rule((("s", 1), ("s", 1)), (("s", 1),), "D")
+        Rule((("s", 1),), (("s", 1), ("s", 1)))
+
+
+def test_rule_family_is_read_off_the_left_side():
+    families = {
+        "s2 s1": "A", "x1 s2 y3": "B", "x3 y1": "C", "0 s1": "Z_left", "0 y2": "Z_left",
+        "x1 0": "Z_right", "0 0": "Z_right",
+    }
+    for lhs, family in families.items():
+        assert Rule(parse_word(lhs, 2), ZERO_WORD).family == family
+    # left sides outside the five families, as the hand-built test systems use
+    assert Rule(parse_word("s1 x1", 2), ZERO_WORD).family is None
+    assert Rule(parse_word("s1 s1 s1", 2), ZERO_WORD).family is None
+    assert RULE_FAMILIES == ("A", "B", "C", "Z_left", "Z_right")
+    assert not hasattr(Rule(parse_word("s1 s1", 2), ZERO_WORD), "__dict__")
+    z2 = _pres("z2")
+    extra = Presentation(z2.n, z2.table, z2.coloring, z2.rules + (Rule(parse_word("s1 x1", 2), ZERO_WORD),))
+    assert rule_counts(extra) == {**rule_counts(z2), None: 1}
 
 
 def test_generate_rejects_non_associative():
@@ -287,12 +303,16 @@ def test_json_bytes_match_indented_json_dumps(name):
 def test_json_bytes_match_with_tampered_rule_and_without_rules():
     p = _pres("z2")
     tampered = tuple(
-        Rule(r.lhs, (("s", 2),), r.family) if r.lhs == (("s", 1), ("s", 1)) else r for r in p.rules
+        Rule(r.lhs, (("s", 2),)) if r.lhs == (("s", 1), ("s", 1)) else r for r in p.rules
     )
     for q in (Presentation(p.n, p.table, p.coloring, tampered), Presentation(p.n, p.table, p.coloring, ())):
         text = presentation_to_json(q)
         assert text == _reference_json(q)
-        assert presentation_from_json(text) == q
+        if q.rules:
+            assert presentation_from_json(text) == q
+        else:
+            with pytest.raises(ValueError, match="no rule for the left side"):
+                presentation_from_json(text)
 
 
 def test_json_compact_file_loads():
@@ -374,6 +394,45 @@ def test_json_rejects_a_left_side_of_no_rule_family():
     assert str(e.value) == (
         "invalid presentation file: rule s1 x1 -> x1 is labelled A but its left side gives no family"
     )
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, family",
+    [("x1 y1", [], "C"), ("x1 y1", ["s1"], "C"), ("0 x1", [], "Z_left"), ("s2 0", ["y3"], "Z_right")],
+    ids=["C-to-1", "C-to-s1", "Z_left-to-1", "Z_right-to-y3"],
+)
+def test_json_rejects_a_rule_that_does_not_rewrite_to_0(lhs, rhs, family):
+    data = _json_data(_pres("z2"))
+    (rule,) = [r for r in data["rules"] if r["lhs"] == lhs.split()]
+    rule["rhs"] = rhs
+    with pytest.raises(ValueError) as e:
+        presentation_from_json(json.dumps(data))
+    assert str(e.value) == (
+        f"invalid presentation file: rule {lhs} -> {' '.join(rhs) or '1'} is not the paper's construction,"
+        f" where every {family} rule rewrites to 0"
+    )
+
+
+@pytest.mark.parametrize(
+    "deleted, named",
+    [(["x1 y1"], "x1 y1"), (["0 0", "s2 s1"], "s2 s1"), (["y3 0", "x1 s1 y1", "0 s1"], "x1 s1 y1")],
+)
+def test_json_rejects_a_missing_rule(deleted, named):
+    # the first missing left side in generator order is named
+    data = _json_data(_pres("z2"))
+    data["rules"] = [r for r in data["rules"] if " ".join(r["lhs"]) not in deleted]
+    assert len(data["rules"]) == 48 - len(deleted)
+    with pytest.raises(ValueError) as e:
+        presentation_from_json(json.dumps(data))
+    assert str(e.value) == f"invalid presentation file: no rule for the left side {named}"
+
+
+def test_json_rejects_a_null_label_on_a_left_side_of_no_family():
+    # Rule.family is None there, and a null label must not match it
+    data = _json_data(_pres("z2"))
+    data["rules"].append({"family": None, "lhs": ["s1", "x1"], "rhs": ["x1"]})
+    with pytest.raises(ValueError, match="rule s1 x1 -> x1 is labelled None but its left side gives no family"):
+        presentation_from_json(json.dumps(data))
 
 
 def test_json_bad_input():

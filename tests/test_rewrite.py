@@ -158,10 +158,10 @@ def _tampered(p, rng, count):
 
     for idx in rng.sample(range(len(rules)), count):
         r = rules[idx]
-        rules[idx] = Rule(r.lhs, rhs(), r.family)
+        rules[idx] = Rule(r.lhs, rhs())
     for _ in range(count):
         lhs = tuple(rng.choice(letters[:-1]) for _ in range(rng.choice((2, 3))))
-        rules.append(Rule(lhs, rhs(), "C"))
+        rules.append(Rule(lhs, rhs()))
     return Presentation(p.n, p.table, p.coloring, tuple(rules))
 
 
@@ -310,7 +310,7 @@ def test_flipped_b_rule_still_locally_confluent():
     rules = list(p.rules)
     idx = next(i for i, r in enumerate(rules) if r.family == "B")
     flipped = ZERO_WORD if rules[idx].rhs == EMPTY_WORD else EMPTY_WORD
-    rules[idx] = Rule(rules[idx].lhs, flipped, "B")
+    rules[idx] = Rule(rules[idx].lhs, flipped)
     q = Presentation(p.n, p.table, p.coloring, tuple(rules))
     ok, _, _ = check_local_confluence(q)
     assert ok
@@ -352,7 +352,7 @@ def test_critical_pairs_match_all_pairs_reference():
     presentations.append(_generate_unchecked(CayleyTable(2, ((2, 1), (1, 1))), build_coloring(2)))
     z2 = _pres("z2")
     b_rules = [r for r in z2.rules if r.family == "B"]
-    flipped = Rule(b_rules[0].lhs, ZERO_WORD if b_rules[0].rhs == EMPTY_WORD else EMPTY_WORD, "B")
+    flipped = Rule(b_rules[0].lhs, ZERO_WORD if b_rules[0].rhs == EMPTY_WORD else EMPTY_WORD)
     presentations.append(
         Presentation(z2.n, z2.table, z2.coloring, tuple(flipped if r == b_rules[0] else r for r in z2.rules))
     )
@@ -361,9 +361,9 @@ def test_critical_pairs_match_all_pairs_reference():
     # s1 s1 (at two offsets), and a duplicate B lhs
     presentations.append(
         _with_rules(z2, [
-            Rule(parse_word("s2 x1 y2", 2), ZERO_WORD, "C"),
-            Rule(parse_word("s1 s1 s1", 2), parse_word("s1", 2), "A"),
-            Rule(parse_word("y3 s1 s2", 2), EMPTY_WORD, "C"),
+            Rule(parse_word("s2 x1 y2", 2), ZERO_WORD),
+            Rule(parse_word("s1 s1 s1", 2), parse_word("s1", 2)),
+            Rule(parse_word("y3 s1 s2", 2), EMPTY_WORD),
             flipped,
         ])
     )
@@ -447,7 +447,7 @@ def test_enumerate_reads_the_rules():
     # a rule outside the paper's families removes its left side from the census
     z2 = _pres("z2")
     factor = parse_word("s1 x1 x2", 2)
-    p = _with_rules(z2, [Rule(factor, ZERO_WORD, "C")])
+    p = _with_rules(z2, [Rule(factor, ZERO_WORD)])
     got = enumerate_normal_forms(p, 4)
     base = enumerate_normal_forms(z2, 4)
     assert got == [w for w in base if all(w[t:t + 3] != factor for t in range(len(w) - 2))]

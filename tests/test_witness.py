@@ -3,13 +3,14 @@ import re
 
 import pytest
 
-from cfmonoid.coloring import build_coloring, check_conditions
+from cfmonoid.coloring import Coloring, build_coloring, check_conditions
 from cfmonoid.presentation import (
     EMPTY_WORD,
     ColoringConditionError,
     Presentation,
     Rule,
     ZERO_WORD,
+    _generate_unchecked,
     alphabet,
     format_word,
     generate_presentation,
@@ -152,10 +153,35 @@ def test_collapse_rejects_a_pair_made_equal_by_a_disagreeing_b_rule():
     p = _pres("leftzero2")
     flipped = parse_word("x2 s1 y3", 2)
     assert p.lhs_map[flipped] == ZERO_WORD
-    rules = tuple(Rule(r.lhs, EMPTY_WORD, r.family) if r.lhs == flipped else r for r in p.rules)
+    rules = tuple(Rule(r.lhs, EMPTY_WORD) if r.lhs == flipped else r for r in p.rules)
     bad = Presentation(p.n, p.table, p.coloring, rules)
     with pytest.raises(ValueError, match=r"equal pair \(1, 1\)"):
         collapse(parse_word("y2", 2), parse_word("y3", 2), bad)
+
+
+def test_collapse_that_cannot_finish_raises():
+    # built in code, so the loader's right-side check never sees it: with
+    # s1 0 -> x3 the zero no longer absorbs s1, and the pair never reaches
+    # (1, 0) within the step bound
+    p = _pres("z2")
+    changed = parse_word("s1 0", 2)
+    rules = tuple(Rule(r.lhs, parse_word("x3", 2)) if r.lhs == changed else r for r in p.rules)
+    bad = Presentation(p.n, p.table, p.coloring, rules)
+    with pytest.raises(ValueError, match=r"did not reach \(1, 0\) in \d+ rounds: the rules are not"):
+        collapse(parse_word("y2 x2", 2), parse_word("y1 y1", 2), bad)
+
+
+def test_collapse_on_coloring_failing_c1_raises_its_report():
+    # built in code, so the loader's C1..C6 check never sees it: the fiber
+    # (1, 1, .) colored 0 everywhere breaks C1, and collapse, which needs a
+    # y-index colored 1 over (x1, s1), raises the condition report
+    bits = [[list(row) for row in plane] for plane in build_coloring(2).bits]
+    bits[0][0] = [0] * len(bits[0][0])
+    coloring = Coloring(2, tuple(tuple(tuple(row) for row in plane) for plane in bits))
+    p = _generate_unchecked(builtin("z2"), coloring)
+    with pytest.raises(ColoringConditionError) as e:
+        collapse(parse_word("x1 s1", 2), parse_word("x1", 2), p)
+    assert e.value.report["C1"][0] is False
 
 
 def test_collapse_rejects_reducible_input():
