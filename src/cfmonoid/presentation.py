@@ -5,8 +5,9 @@ letter z carries index 0.  A word is a tuple of letters; the empty tuple is
 the monoid identity.  Rules come in five families, all strictly
 length-reducing; Rule accepts only left sides of 2 or 3 letters and right
 sides of at most 1, the shapes the rewriting engine is built for.  The roles
-of a left side's letters fix its family (_FAMILY_OF_SHAPE, the one definition
-of the rule set):
+of a left side's letters fix its family (_FAMILY_OF_SHAPE), and the family
+fixes its right side (_right_side); the two are the one definition of the
+rule set, which the generator and the loader's check both read:
 
   A:       s_i s_j     -> s_{t(i,j)}   (the Cayley table)
   B:       x_i s_j y_k -> 1 or 0       (the coloring decides)
@@ -22,6 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 from .coloring import Coloring, check_conditions, conditions_ok
 from .semigroup import CayleyTable, is_associative
@@ -56,7 +58,7 @@ def _parse_token(tok: str, n: int) -> Letter:
     if tok == "0":
         return ZERO_LETTER
     role, digits = tok[:1], tok[1:]
-    if role not in ("s", "x", "y") or not digits.isdigit():
+    if role not in ("s", "x", "y") or not (digits.isascii() and digits.isdigit()):
         raise WordSyntaxError(f"unknown token {tok!r}")
     idx = int(digits)
     hi = n if role == "s" else n + 1
@@ -185,26 +187,29 @@ class Presentation:
         object.__setattr__(self, "lhs_map", {r.lhs: r.rhs for r in self.rules})
 
 
+def _right_side(family: str, lhs: Word, table: CayleyTable, coloring: Coloring) -> Word:
+    # the construction's right side for a left side of the given family: the
+    # Cayley product for A, the coloring's bit for B, and 0 for the rest
+    if family == "A":
+        return (("s", table.mul(lhs[0][1], lhs[1][1])),)
+    if family == "B":
+        (_, i), (_, j), (_, k) = lhs
+        return _B_RHS[coloring.bits[i - 1][j - 1][k - 1]]
+    return ZERO_WORD
+
+
 def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
-    # Rule order is deterministic: family, then lexicographic indices.
-    n = table.n
-    size = n + 1
-    rules = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            rules.append(Rule((("s", i), ("s", j)), (("s", table.mul(i, j)),)))
-    for i, plane in enumerate(coloring.bits, start=1):
-        for j, row in enumerate(plane, start=1):
-            for k, bit in enumerate(row, start=1):
-                rules.append(Rule((("x", i), ("s", j), ("y", k)), _B_RHS[bit]))
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            rules.append(Rule((("x", i), ("y", j)), ZERO_WORD))
-    for a in alphabet(n):
-        rules.append(Rule((ZERO_LETTER, a), ZERO_WORD))
-    for a in alphabet(n, include_zero=True):
-        rules.append(Rule((a, ZERO_LETTER), ZERO_WORD))
-    return Presentation(n, table, coloring, tuple(rules))
+    # one rule per left side of each shape, in the order of _FAMILY_OF_SHAPE,
+    # each shape's left sides in lexicographic order; all left sides share
+    # one tuple per letter
+    letters = alphabet(table.n, include_zero=True)
+    of_role = {role: [a for a in letters if a[0] == role] for role in "sxyz"}
+    rules = tuple(
+        Rule(lhs, _right_side(family, lhs, table, coloring))
+        for shape, family in _FAMILY_OF_SHAPE.items()
+        for lhs in product(*[of_role[role] for role in shape])
+    )
+    return Presentation(table.n, table, coloring, rules)
 
 
 def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
@@ -286,13 +291,11 @@ def _int_array(value, shape: tuple, lo: int, hi: int, name: str) -> tuple:
     return tuple(value)
 
 
-def _check_rules(rules: tuple, labels: list, coloring: Coloring) -> None:
+def _check_rules(rules: tuple, labels: list, table: CayleyTable, coloring: Coloring) -> None:
     # a stored label must be the family its left side gives (a null label
     # on a left side of no family included), so a census by family counts
-    # what the rules are; a rule x_i s_j y_k -> w must have w = 1 where
-    # f(i, j, k) = 1 and w = 0 where f(i, j, k) = 0, or the rules do not
-    # encode the coloring checked; C, Z_left and Z_right rules rewrite to 0
-    bits = coloring.bits
+    # what the rules are; every right side but A's must be the construction's,
+    # which check-embed compares with the table for A
     for r, label in zip(rules, labels):
         family = r.family
         if family != label or family is None:
@@ -301,19 +304,13 @@ def _check_rules(rules: tuple, labels: list, coloring: Coloring) -> None:
                 f"invalid presentation file: rule {format_word(r.lhs)} -> {format_word(r.rhs)}"
                 f" is labelled {label} but its left side gives {gives}"
             )
-        if family == "B":
-            (_, i), (_, j), (_, k) = r.lhs
-            bit = bits[i - 1][j - 1][k - 1]
-            if r.rhs != _B_RHS[bit]:
-                raise ValueError(
-                    f"invalid presentation file: rule {format_word(r.lhs)} -> {format_word(r.rhs)}"
-                    f" disagrees with the coloring, which has f({i}, {j}, {k}) = {bit}"
-                )
-        elif family != "A" and r.rhs != ZERO_WORD:
-            raise ValueError(
-                f"invalid presentation file: rule {format_word(r.lhs)} -> {format_word(r.rhs)}"
-                f" is not the paper's construction, where every {family} rule rewrites to 0"
-            )
+        if family != "A" and r.rhs != _right_side(family, r.lhs, table, coloring):
+            if family == "B":
+                (_, i), (_, j), (_, k) = r.lhs
+                why = f"disagrees with the coloring, which has f({i}, {j}, {k}) = {coloring.get(i, j, k)}"
+            else:
+                why = f"is not the paper's construction, where every {family} rule rewrites to 0"
+            raise ValueError(f"invalid presentation file: rule {format_word(r.lhs)} -> {format_word(r.rhs)} {why}")
 
 
 def _rule_count(n: int) -> int:
@@ -345,7 +342,8 @@ def presentation_from_json(text: str) -> Presentation:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: arrays or objects nested too deeply to decode
         raise ValueError(f"invalid presentation JSON: {e}") from None
     try:
         n = data["n"]
@@ -375,7 +373,7 @@ def presentation_from_json(text: str) -> Presentation:
             if r.lhs in seen:
                 raise ValueError(f"invalid presentation file: two rules for the left side {format_word(r.lhs)}")
             seen.add(r.lhs)
-    _check_rules(rules, labels, coloring)
+    _check_rules(rules, labels, table, coloring)
     # every left side has a family and none repeats, so a short count means a
     # missing rule; the first one in generator order is named
     if len(rules) != _rule_count(n):

@@ -575,9 +575,11 @@ def test_two_rules_for_one_left_side_exits_2(z2_pres, tmp_path, capsys, command)
     assert captured.out == ""
 
 
-def test_collapse_that_cannot_finish_exits_2(z2_pres, tmp_path, capsys):
-    # with s1 0 -> x3 the zero no longer absorbs s1, and the pair never
-    # reaches (1, 0): the rules are not the paper's construction
+def test_collapse_on_a_z_rule_that_does_not_rewrite_to_0_exits_2(z2_pres, tmp_path, capsys):
+    # s1 0 -> x3 is a Z_right rule that does not rewrite to 0, so the loader
+    # rejects the file before collapse runs; collapse's step bound, which such
+    # a rule would let a pair hit, is tested on the library function in
+    # tests/test_witness.py
     data = json.loads(z2_pres.read_text())
     (rule,) = [r for r in data["rules"] if r["lhs"] == ["s1", "0"]]
     rule["rhs"] = ["x3"]
@@ -589,3 +591,26 @@ def test_collapse_that_cannot_finish_exits_2(z2_pres, tmp_path, capsys):
     assert rc == 2
     assert "not the paper's construction" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["nf", "--pres", "deep.json", "s1"],
+        ["check-complete", "--pres", "deep.json"],
+        ["check-embed", "--pres", "deep.json"],
+        ["collapse", "--pres", "deep.json", "x1", "x2", "--out", "t.trace"],
+        ["verify-trace", "--pres", "deep.json", "t.trace"],
+        ["enumerate", "--pres", "deep.json", "--maxlen", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_nested_too_deeply_to_decode_exits_2(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "t.trace").write_text("0\tGEN\tx1\tx2\n")
+    rc = main([str(tmp_path / arg) if arg in ("deep.json", "t.trace") else arg for arg in command])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "invalid presentation JSON" in captured.err
+    assert "Traceback" not in captured.err + captured.out

@@ -260,6 +260,14 @@ def test_parse_errors():
         parse_coloring("slice 1\n1 0\n0 1\nslice 3\n1 0\n0 1\n")
 
 
+def test_parse_slice_numbers_take_only_ascii_digits():
+    # "slice \u0661" (ARABIC-INDIC ONE) would read as slice 1, and "slice \u00b2"
+    # (SUPERSCRIPT TWO) passes str.isdigit() but not int()
+    for header in ("slice \u0661", "slice \u00b2"):
+        with pytest.raises(ColoringParseError, match="line 1: bad slice header"):
+            parse_coloring(f"{header}\n1 0\n0 1\n")
+
+
 def test_get_range_check():
     c = build_coloring(2)
     with pytest.raises(IndexError):

@@ -87,6 +87,14 @@ def test_parse_unknown_token():
         parse_word("s", 2)
 
 
+def test_parse_word_takes_only_ascii_digits():
+    # str.isdigit() also accepts "\u0661" (ARABIC-INDIC ONE), which int() reads
+    # as 1, and "\u00b2" (SUPERSCRIPT TWO), which int() rejects
+    for text in ("s\u0661", "x\u0661 y1", "s\u00b2", "y\u0662"):
+        with pytest.raises(WordSyntaxError, match="unknown token"):
+            parse_word(text, 2)
+
+
 def test_one_only_alone():
     with pytest.raises(WordSyntaxError, match="only allowed as the whole word"):
         parse_word("s1 1", 2)
@@ -257,6 +265,12 @@ def test_generate_rejects_order_mismatch():
         generate_presentation(builtin("z2"), build_coloring(3))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_generated_left_sides_share_one_tuple_per_letter(n):
+    p = generate_presentation(_cyclic(n), build_coloring(n))
+    assert len({id(a) for r in p.rules for a in r.lhs}) == len(alphabet(n, include_zero=True))
+
+
 def test_deterministic_rule_order():
     p1 = _pres("z2")
     p2 = _pres("z2")
@@ -339,6 +353,20 @@ def test_json_bad_token_messages(token, error, side):
     with pytest.raises(ValueError) as e:
         presentation_from_json(json.dumps(data))
     assert str(e.value) == error
+
+
+@pytest.mark.parametrize("token", ["s\u0661", "y\u00b2"])
+def test_json_rule_tokens_take_only_ascii_digits(token):
+    data = _json_data(_pres("z2"))
+    data["rules"][0]["lhs"][0] = token
+    with pytest.raises(WordSyntaxError) as e:
+        presentation_from_json(json.dumps(data))
+    assert str(e.value) == f"unknown token {token!r}"
+
+
+def test_json_nested_too_deeply_to_decode():
+    with pytest.raises(ValueError, match="invalid presentation JSON"):
+        presentation_from_json("[" * 100_000 + "]" * 100_000)
 
 
 def test_json_letters_are_shared_across_rules():

@@ -9,6 +9,7 @@ from cfmonoid.presentation import (
     ColoringConditionError,
     Presentation,
     Rule,
+    WordSyntaxError,
     ZERO_WORD,
     _generate_unchecked,
     alphabet,
@@ -17,11 +18,12 @@ from cfmonoid.presentation import (
     parse_word,
 )
 from cfmonoid.rewrite import enumerate_normal_forms, normal_form
-from cfmonoid.semigroup import CayleyTable, builtin
+from cfmonoid.semigroup import BUILTIN_NAMES, CayleyTable, builtin
 from cfmonoid.witness import (
     WitnessStep,
     WitnessTrace,
     _check_normal,
+    _mirror,
     collapse,
     decompose,
     format_trace,
@@ -319,6 +321,15 @@ def test_parse_trace_errors():
         parse_trace("0\tGEN\tx1\tx2\n1\tMULL\tx1\tx2\n", p)
 
 
+def test_parse_trace_takes_only_ascii_digits():
+    # str.isdigit() also accepts digits such as "\u0661" (ARABIC-INDIC ONE)
+    p = _pres("z2")
+    with pytest.raises(WordSyntaxError, match="unknown token 'x\u0661'"):
+        parse_trace("0\tGEN\tx\u0661\tx2\n", p)
+    with pytest.raises(WordSyntaxError, match="unknown token 's\u00b2'"):
+        parse_trace("0\tGEN\tx1\tx2\n1\tMULR s\u00b2\tx1 s1\tx2 s1\n", p)
+
+
 def test_verify_parsed_trace_with_zero_words_inside():
     # pairs inside a trace may carry z anywhere; the word syntax writes it "0"
     p = _pres("trivial")
@@ -597,3 +608,53 @@ def test_collapse_matches_reference_on_random_pairs(name):
         u, v = rng.choice(words), rng.choice(words)
         if u != v:
             _assert_same_as_reference(u, v, p)
+
+
+# ------------------------------------------------------------ mirror symmetry
+# The mirror image maps the presentation for (t, f) onto the one for the
+# opposite table and the transposed coloring fT(i, j, k) = f(k, j, i), and
+# turns C1, C3, C5 into C2, C4, C6; the y-side moves of collapse and
+# unit_context rest on both claims.
+
+_MIRROR_CONDITION = {"C1": "C2", "C2": "C1", "C3": "C4", "C4": "C3", "C5": "C6", "C6": "C5"}
+
+
+def _opposite(t):
+    return CayleyTable(t.n, tuple(zip(*t.rows)))
+
+
+def _transposed(c):
+    size = c.n + 1
+    return Coloring(c.n, tuple(
+        tuple(tuple(c.bits[i][j][k] for i in range(size)) for j in range(c.n)) for k in range(size)
+    ))
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["Z_8"])
+def test_mirror_maps_the_rules_onto_those_of_the_opposite_table_and_transposed_coloring(name):
+    if name == "Z_8":
+        t = CayleyTable(8, tuple(tuple((i + j) % 8 + 1 for j in range(8)) for i in range(8)))
+    else:
+        t = builtin(name)
+    f = build_coloring(t.n)
+    rules = {(r.lhs, r.rhs) for r in _generate_unchecked(t, f).rules}
+    mirrored = {(r.lhs, r.rhs) for r in _generate_unchecked(_opposite(t), _transposed(f)).rules}
+    assert {(_mirror(lhs), _mirror(rhs)) for lhs, rhs in rules} == mirrored
+
+
+def test_transposing_the_coloring_swaps_the_mirror_conditions():
+    # only the pass flags are compared: each condition reports its first
+    # violation in its own index order
+    rng = random.Random(2013)
+    colorings = [build_coloring(n) for n in range(1, 9)]
+    for n in (1, 2, 3):
+        size = n + 1
+        for _ in range(300):
+            p = rng.random()
+            colorings.append(Coloring(n, tuple(
+                tuple(tuple(int(rng.random() < p) for _ in range(size)) for _ in range(n)) for _ in range(size)
+            )))
+    for f in colorings:
+        flags = {name: ok for name, (ok, _) in check_conditions(f).items()}
+        flags_t = {name: ok for name, (ok, _) in check_conditions(_transposed(f)).items()}
+        assert flags_t == {_MIRROR_CONDITION[name]: ok for name, ok in flags.items()}, f
