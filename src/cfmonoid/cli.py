@@ -47,7 +47,7 @@ def cmd_build(args) -> int:
     Path(args.out).write_text(presentation_to_json(pres) + "\n")
     counts = rule_counts(pres)
     breakdown = " ".join(f"{fam}={counts[fam]}" for fam in RULE_FAMILIES)
-    print(f"n={pres.n}: {len(pres.rules)} rules ({breakdown})")
+    print(f"n={pres.n}: {len(pres.lhs_map)} rules ({breakdown})")
     return 0
 
 

@@ -61,11 +61,14 @@ def build_coloring(n: int) -> Coloring:
             col = _shift(col)
             cols.append(col)
         slices.append(tuple(tuple(cols[k][i] for k in range(size)) for i in range(size)))
-    bits = tuple(
-        tuple(tuple(slices[j][i]) for j in range(n))
-        for i in range(size)
-    )
-    return Coloring(n, bits)
+    return _from_slices(slices)
+
+
+def _from_slices(slices) -> Coloring:
+    # slices[j-1][i-1][k-1], one (n+1) x (n+1) slice per s-index j, as the
+    # coloring with bits[i-1][j-1][k-1]
+    n = len(slices)
+    return Coloring(n, tuple(tuple(tuple(s[i]) for s in slices) for i in range(n + 1)))
 
 
 def coloring_entry(n: int, i: int, j: int, k: int) -> int:
@@ -171,8 +174,4 @@ def parse_coloring(text: str) -> Coloring:
     for j, block in enumerate(slices, start=1):
         if len(block) != size or any(len(row) != size for row in block):
             raise ColoringParseError(f"slice {j} must be {size}x{size} for n={n}")
-    bits = tuple(
-        tuple(tuple(slices[j][i]) for j in range(n))
-        for i in range(size)
-    )
-    return Coloring(n, bits)
+    return _from_slices(slices)

@@ -3,11 +3,12 @@
 A letter is a (role, index) pair with role one of "s", "x", "y", "z"; the zero
 letter z carries index 0.  A word is a tuple of letters; the empty tuple is
 the monoid identity.  Rules come in five families, all strictly
-length-reducing; Rule accepts only left sides of 2 or 3 letters and right
-sides of at most 1, the shapes the rewriting engine is built for.  The roles
-of a left side's letters fix its family (_FAMILY_OF_SHAPE), and the family
-fixes its right side (_right_side); the two are the one definition of the
-rule set, which the generator and the loader's check both read:
+length-reducing; Presentation stores them once, as a map from left side to
+right side, and accepts only left sides of 2 or 3 letters and right sides of
+at most 1, the shapes the rewriting engine is built for.  The roles of a left
+side's letters fix its family (_FAMILY_OF_SHAPE), and the family fixes its
+right side (_right_side); the two are the one definition of the rule set,
+which the generator and the loader's check both read:
 
   A:       s_i s_j     -> s_{t(i,j)}   (the Cayley table)
   B:       x_i s_j y_k -> 1 or 0       (the coloring decides)
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -137,25 +138,22 @@ def alphabet(n: int, include_zero: bool = False) -> tuple:
     return tuple(letters)
 
 
+def _family(w: Word):
+    # the family that _FAMILY_OF_SHAPE gives the roles of w; None outside the five
+    return _FAMILY_OF_SHAPE.get((w[0][0], w[1][0]) if len(w) == 2 else (w[0][0], w[1][0], w[2][0]))
+
+
 @dataclass(frozen=True, slots=True)
 class Rule:
-    """A rule lhs -> rhs; its family is read off the roles of lhs, not stored."""
+    """An item lhs -> rhs of Presentation.rules: a plain value; its family is read off lhs, not stored."""
 
     lhs: Word
     rhs: Word
 
-    def __post_init__(self):
-        if len(self.lhs) not in (2, 3) or len(self.rhs) > 1:
-            raise ValueError(
-                "rule must be length-reducing with a left side of 2 or 3 letters and a right side"
-                f" of at most 1: {format_word(self.lhs)} -> {format_word(self.rhs)}"
-            )
-
     @property
     def family(self):
         """The family that _FAMILY_OF_SHAPE gives the roles of lhs; None outside the five."""
-        w = self.lhs
-        return _FAMILY_OF_SHAPE.get((w[0][0], w[1][0]) if len(w) == 2 else (w[0][0], w[1][0], w[2][0]))
+        return _family(self.lhs)
 
 
 class NotAssociativeError(ValueError):
@@ -177,14 +175,28 @@ class ColoringConditionError(ValueError):
 
 @dataclass(frozen=True)
 class Presentation:
+    """The rewriting system for order n: lhs_map, left side -> right side in rule order, is its rule set.
+
+    A left side not of 2 or 3 letters, or a right side longer than 1, raises ValueError.
+    """
+
     n: int
     table: CayleyTable
     coloring: Coloring
-    rules: tuple
-    lhs_map: dict = field(init=False, repr=False, compare=False)
+    lhs_map: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "lhs_map", {r.lhs: r.rhs for r in self.rules})
+        for lhs, rhs in self.lhs_map.items():
+            if len(lhs) not in (2, 3) or len(rhs) > 1:
+                raise ValueError(
+                    "rule must be length-reducing with a left side of 2 or 3 letters and a right side"
+                    f" of at most 1: {format_word(lhs)} -> {format_word(rhs)}"
+                )
+
+    @property
+    def rules(self) -> tuple:
+        """The items of lhs_map as Rule values, in rule order; built on each read."""
+        return tuple(Rule(lhs, rhs) for lhs, rhs in self.lhs_map.items())
 
 
 def _right_side(family: str, lhs: Word, table: CayleyTable, coloring: Coloring) -> Word:
@@ -204,12 +216,12 @@ def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
     # one tuple per letter
     letters = alphabet(table.n, include_zero=True)
     of_role = {role: [a for a in letters if a[0] == role] for role in "sxyz"}
-    rules = tuple(
-        Rule(lhs, _right_side(family, lhs, table, coloring))
+    lhs_map = {
+        lhs: _right_side(family, lhs, table, coloring)
         for shape, family in _FAMILY_OF_SHAPE.items()
         for lhs in product(*[of_role[role] for role in shape])
-    )
-    return Presentation(table.n, table, coloring, rules)
+    }
+    return Presentation(table.n, table, coloring, lhs_map)
 
 
 def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
@@ -240,7 +252,7 @@ def generate_presentation(table: CayleyTable, coloring: Coloring) -> Presentatio
 
 def rule_counts(p: Presentation) -> Counter:
     """Rules by Rule.family (None for a left side of no family); a family with no rule counts 0."""
-    return Counter(r.family for r in p.rules)
+    return Counter(map(_family, p.lhs_map))
 
 
 def presentation_to_json(p: Presentation) -> str:
@@ -263,7 +275,7 @@ def presentation_to_json(p: Presentation) -> str:
         },
         indent=1,
     )
-    if not p.rules:
+    if not p.lhs_map:
         return header[:-2] + ',\n "rules": []\n}'
 
     def word(w):
@@ -272,8 +284,8 @@ def presentation_to_json(p: Presentation) -> str:
         return '[\n    "' + '",\n    "'.join(map(_token, w)) + '"\n   ]'
 
     rules = ",\n".join([
-        f'  {{\n   "family": "{r.family}",\n   "lhs": {word(r.lhs)},\n   "rhs": {word(r.rhs)}\n  }}'
-        for r in p.rules
+        f'  {{\n   "family": "{_family(lhs)}",\n   "lhs": {word(lhs)},\n   "rhs": {word(rhs)}\n  }}'
+        for lhs, rhs in p.lhs_map.items()
     ])
     return f'{header[:-2]},\n "rules": [\n{rules}\n ]\n}}'
 
@@ -291,26 +303,26 @@ def _int_array(value, shape: tuple, lo: int, hi: int, name: str) -> tuple:
     return tuple(value)
 
 
-def _check_rules(rules: tuple, labels: list, table: CayleyTable, coloring: Coloring) -> None:
+def _check_rules(lhs_map: dict, labels: list, table: CayleyTable, coloring: Coloring) -> None:
     # a stored label must be the family its left side gives (a null label
     # on a left side of no family included), so a census by family counts
     # what the rules are; every right side but A's must be the construction's,
     # which check-embed compares with the table for A
-    for r, label in zip(rules, labels):
-        family = r.family
+    for (lhs, rhs), label in zip(lhs_map.items(), labels):
+        family = _family(lhs)
         if family != label or family is None:
             gives = f"family {family}" if family else "no family"
             raise ValueError(
-                f"invalid presentation file: rule {format_word(r.lhs)} -> {format_word(r.rhs)}"
+                f"invalid presentation file: rule {format_word(lhs)} -> {format_word(rhs)}"
                 f" is labelled {label} but its left side gives {gives}"
             )
-        if family != "A" and r.rhs != _right_side(family, r.lhs, table, coloring):
+        if family != "A" and rhs != _right_side(family, lhs, table, coloring):
             if family == "B":
-                (_, i), (_, j), (_, k) = r.lhs
+                (_, i), (_, j), (_, k) = lhs
                 why = f"disagrees with the coloring, which has f({i}, {j}, {k}) = {coloring.get(i, j, k)}"
             else:
                 why = f"is not the paper's construction, where every {family} rule rewrites to 0"
-            raise ValueError(f"invalid presentation file: rule {format_word(r.lhs)} -> {format_word(r.rhs)} {why}")
+            raise ValueError(f"invalid presentation file: rule {format_word(lhs)} -> {format_word(rhs)} {why}")
 
 
 def _rule_count(n: int) -> int:
@@ -330,9 +342,9 @@ def presentation_from_json(text: str) -> Presentation:
     with entries 0 or 1; the table must be associative (NotAssociativeError)
     and the coloring must pass C1..C6 (ColoringConditionError); every rule
     must be length-reducing with a left side of 2 or 3 letters; no two
-    rules may share a left side, since the reducer keeps one rule per left
-    side and the critical pairs never pair two equal ones; every stored
-    family label must be Rule.family, the family of its left side; a rule
+    rules may share a left side, since the records are decoded straight
+    into lhs_map, which holds one rule per left side; every stored family
+    label must be Rule.family, the family of its left side; a rule
     x_i s_j y_k -> w must have w = 1 where f(i, j, k) = 1 and w = 0 where
     f(i, j, k) = 0, and every C, Z_left and Z_right rule must rewrite to 0;
     and there must be a rule for every left side of the five families.
@@ -361,22 +373,21 @@ def presentation_from_json(text: str) -> Presentation:
                 return tuple(_parse_token(t, n) for t in tokens)
 
         records = data["rules"]
-        rules = tuple(Rule(word(r["lhs"]), word(r["rhs"])) for r in records)
+        lhs_map = {word(r["lhs"]): word(r["rhs"]) for r in records}
         labels = [r["family"] for r in records]
     except (KeyError, TypeError, IndexError) as e:
         raise ValueError(f"invalid presentation file: {e}") from None
-    pres = Presentation(n, table, coloring, rules)
-    lhs_map = pres.lhs_map
-    if len(lhs_map) != len(rules):
+    pres = Presentation(n, table, coloring, lhs_map)
+    if len(lhs_map) != len(labels):
         seen = set()
-        for r in rules:
-            if r.lhs in seen:
-                raise ValueError(f"invalid presentation file: two rules for the left side {format_word(r.lhs)}")
-            seen.add(r.lhs)
-    _check_rules(rules, labels, table, coloring)
+        for lhs in (word(r["lhs"]) for r in records):
+            if lhs in seen:
+                raise ValueError(f"invalid presentation file: two rules for the left side {format_word(lhs)}")
+            seen.add(lhs)
+    _check_rules(lhs_map, labels, table, coloring)
     # every left side has a family and none repeats, so a short count means a
     # missing rule; the first one in generator order is named
-    if len(rules) != _rule_count(n):
-        missing = next(r.lhs for r in _generate_unchecked(table, coloring).rules if r.lhs not in lhs_map)
+    if len(lhs_map) != _rule_count(n):
+        missing = next(lhs for lhs in _generate_unchecked(table, coloring).lhs_map if lhs not in lhs_map)
         raise ValueError(f"invalid presentation file: no rule for the left side {format_word(missing)}")
     return pres

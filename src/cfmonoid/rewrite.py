@@ -22,7 +22,7 @@ def normal_form(w: Word, p: Presentation) -> Word:
     the top two stack letters, then with the top one; on a hit the matched
     letters are popped and the rule's right side, if any, becomes c and is
     tried again, otherwise c is pushed.  Every left side has 2 or 3 letters
-    and every right side at most 1 (Rule checks this), so each letter is
+    and every right side at most 1 (Presentation checks this), so each letter is
     pushed and popped at most once and the pass is O(|w|).  Each step
     rewrites the leftmost redex of the current word, the shorter one where
     two start at the same letter, so even a system that is not confluent

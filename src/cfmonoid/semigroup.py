@@ -28,9 +28,10 @@ def parse_cayley(text: str) -> CayleyTable:
     """Parse the Cayley file format.
 
     Lines starting with '#' and blank lines are ignored.  The first payload
-    line holds the order n, followed by exactly n rows of n integers in 1..n.
-    Entries are range-checked here; associativity is deliberately not checked,
-    so bad tables can be fed to is_associative.
+    line holds the order n, followed by exactly n rows of n integers in 1..n,
+    each written in ASCII digits only (no sign, underscore or other digit
+    script).  Entries are range-checked here; associativity is deliberately
+    not checked, so bad tables can be fed to is_associative.
     """
     n = None
     rows = []
@@ -39,10 +40,9 @@ def parse_cayley(text: str) -> CayleyTable:
         if not line or line.startswith("#"):
             continue
         if n is None:
-            try:
-                n = int(line)
-            except ValueError:
-                raise CayleyParseError(f"malformed order {line!r}", lineno) from None
+            if not (line.isascii() and line.isdigit()):
+                raise CayleyParseError(f"malformed order {line!r}", lineno)
+            n = int(line)
             if n < 1:
                 raise CayleyParseError(f"order must be positive, got {n}", lineno)
             continue
@@ -50,13 +50,12 @@ def parse_cayley(text: str) -> CayleyTable:
             raise CayleyParseError(f"expected {n} rows, found extra data", lineno)
         entries = []
         for col, part in enumerate(line.split(), start=1):
-            try:
-                v = int(part)
-            except ValueError:
+            if not (part.isascii() and part.isdigit()):
                 raise CayleyParseError(
                     f"malformed integer {part!r} at row {len(rows) + 1}, column {col}",
                     lineno,
-                ) from None
+                )
+            v = int(part)
             if not 1 <= v <= n:
                 raise CayleyParseError(
                     f"entry {v} out of range at row {len(rows) + 1}", lineno
@@ -101,16 +100,6 @@ def is_associative(t: CayleyTable):
     return True, None
 
 
-BUILTIN_NAMES = (
-    "trivial",
-    "z2",
-    "z3",
-    "leftzero2",
-    "rightzero2",
-    "semilattice2",
-    "t2",
-)
-
 # t2: all maps {1,2} -> {1,2} listed as identity, swap, constant 1, constant 2;
 # the product acts left to right, (m m')(x) = m'(m(x)).
 _T2_ROWS = ((1, 2, 3, 4), (2, 1, 3, 4), (3, 4, 3, 4), (4, 3, 3, 4))
@@ -124,6 +113,7 @@ _BUILTIN_ROWS = {
     "semilattice2": ((1, 1), (1, 2)),  # meet on the chain 1 < 2
     "t2": _T2_ROWS,
 }
+BUILTIN_NAMES = tuple(_BUILTIN_ROWS)
 
 
 def builtin(name: str) -> CayleyTable:

@@ -46,7 +46,6 @@ class WitnessStep:
 
 @dataclass(frozen=True)
 class WitnessTrace:
-    presentation: Presentation
     steps: tuple
 
 
@@ -218,7 +217,7 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
     guard = 2 * (len(u) + len(v)) + 8
     for _ in range(guard):
         if (left, right) in _TERMINAL:
-            return WitnessTrace(p, tuple(steps))
+            return WitnessTrace(tuple(steps))
         if left == right:
             # each move was chosen from the coloring to keep the pair apart, so an
             # equal pair means some rule differs from the paper's construction
@@ -367,4 +366,4 @@ def parse_trace(text: str, p: Presentation) -> WitnessTrace:
         steps.append(WitnessStep(pair, move))
     if not steps:
         raise ValueError("empty trace file")
-    return WitnessTrace(p, tuple(steps))
+    return WitnessTrace(tuple(steps))

@@ -225,8 +225,11 @@ def test_all_rules_length_reducing(name):
 
 
 def test_rule_constructor_rejects_non_reducing():
-    with pytest.raises(ValueError, match="length-reducing"):
-        Rule((("s", 1),), (("s", 1), ("s", 1)))
+    # Presentation checks the shapes of its rules; Rule is a plain value
+    z2 = _pres("z2")
+    for lhs, rhs in (("s1", "s1"), ("s1 s1", "s1 s1"), ("s1", "s1 s1")):
+        with pytest.raises(ValueError, match="length-reducing"):
+            Presentation(z2.n, z2.table, z2.coloring, {**z2.lhs_map, parse_word(lhs, 2): parse_word(rhs, 2)})
 
 
 def test_rule_family_is_read_off_the_left_side():
@@ -242,7 +245,7 @@ def test_rule_family_is_read_off_the_left_side():
     assert RULE_FAMILIES == ("A", "B", "C", "Z_left", "Z_right")
     assert not hasattr(Rule(parse_word("s1 s1", 2), ZERO_WORD), "__dict__")
     z2 = _pres("z2")
-    extra = Presentation(z2.n, z2.table, z2.coloring, z2.rules + (Rule(parse_word("s1 x1", 2), ZERO_WORD),))
+    extra = Presentation(z2.n, z2.table, z2.coloring, {**z2.lhs_map, parse_word("s1 x1", 2): ZERO_WORD})
     assert rule_counts(extra) == {**rule_counts(z2), None: 1}
 
 
@@ -316,10 +319,8 @@ def test_json_bytes_match_indented_json_dumps(name):
 
 def test_json_bytes_match_with_tampered_rule_and_without_rules():
     p = _pres("z2")
-    tampered = tuple(
-        Rule(r.lhs, (("s", 2),)) if r.lhs == (("s", 1), ("s", 1)) else r for r in p.rules
-    )
-    for q in (Presentation(p.n, p.table, p.coloring, tampered), Presentation(p.n, p.table, p.coloring, ())):
+    tampered = {**p.lhs_map, (("s", 1), ("s", 1)): (("s", 2),)}
+    for q in (Presentation(p.n, p.table, p.coloring, tampered), Presentation(p.n, p.table, p.coloring, {})):
         text = presentation_to_json(q)
         assert text == _reference_json(q)
         if q.rules:

@@ -7,7 +7,6 @@ from cfmonoid.coloring import build_coloring
 from cfmonoid.presentation import (
     EMPTY_WORD,
     Presentation,
-    Rule,
     ZERO_WORD,
     alphabet,
     format_word,
@@ -150,19 +149,19 @@ def _tampered(p, rng, count):
     # random 2- and 3-letter left sides are added (often a suffix or prefix
     # of another left side), so the system is typically no longer confluent
     # and the rewrite order shows
-    rules = list(p.rules)
+    rules = dict(p.lhs_map)
+    lhss = list(rules)
     letters = alphabet(p.n, include_zero=True)
 
     def rhs():
         return rng.choice([EMPTY_WORD, (rng.choice(letters),)])
 
-    for idx in rng.sample(range(len(rules)), count):
-        r = rules[idx]
-        rules[idx] = Rule(r.lhs, rhs())
+    for idx in rng.sample(range(len(lhss)), count):
+        rules[lhss[idx]] = rhs()
     for _ in range(count):
         lhs = tuple(rng.choice(letters[:-1]) for _ in range(rng.choice((2, 3))))
-        rules.append(Rule(lhs, rhs()))
-    return Presentation(p.n, p.table, p.coloring, tuple(rules))
+        rules[lhs] = rhs()
+    return Presentation(p.n, p.table, p.coloring, rules)
 
 
 def test_normal_form_matches_reference_on_all_short_words():
@@ -307,11 +306,9 @@ def test_flipped_b_rule_still_locally_confluent():
     # B left-hand sides never overlap each other, so flipping one B right side
     # keeps local confluence (the system then presents a different monoid)
     p = _pres("trivial")
-    rules = list(p.rules)
-    idx = next(i for i, r in enumerate(rules) if r.family == "B")
-    flipped = ZERO_WORD if rules[idx].rhs == EMPTY_WORD else EMPTY_WORD
-    rules[idx] = Rule(rules[idx].lhs, flipped)
-    q = Presentation(p.n, p.table, p.coloring, tuple(rules))
+    b = next(r for r in p.rules if r.family == "B")
+    flipped = ZERO_WORD if b.rhs == EMPTY_WORD else EMPTY_WORD
+    q = Presentation(p.n, p.table, p.coloring, {**p.lhs_map, b.lhs: flipped})
     ok, _, _ = check_local_confluence(q)
     assert ok
 
@@ -343,7 +340,7 @@ def _critical_pairs_reference(p):
 
 
 def _with_rules(p, extra):
-    return Presentation(p.n, p.table, p.coloring, p.rules + tuple(extra))
+    return Presentation(p.n, p.table, p.coloring, {**p.lhs_map, **extra})
 
 
 def test_critical_pairs_match_all_pairs_reference():
@@ -352,25 +349,44 @@ def test_critical_pairs_match_all_pairs_reference():
     presentations.append(_generate_unchecked(CayleyTable(2, ((2, 1), (1, 1))), build_coloring(2)))
     z2 = _pres("z2")
     b_rules = [r for r in z2.rules if r.family == "B"]
-    flipped = Rule(b_rules[0].lhs, ZERO_WORD if b_rules[0].rhs == EMPTY_WORD else EMPTY_WORD)
-    presentations.append(
-        Presentation(z2.n, z2.table, z2.coloring, tuple(flipped if r == b_rules[0] else r for r in z2.rules))
-    )
+    flipped = {b_rules[0].lhs: ZERO_WORD if b_rules[0].rhs == EMPTY_WORD else EMPTY_WORD}
+    presentations.append(_with_rules(z2, flipped))
     # generated rules never contain one another: 3-letter left sides that
     # contain the C lhs x1 y2 or the A lhs s1 s2, or both overlap and contain
-    # s1 s1 (at two offsets), and a duplicate B lhs
+    # s1 s1 (at two offsets), with the flipped B rule in place of z2's
     presentations.append(
-        _with_rules(z2, [
-            Rule(parse_word("s2 x1 y2", 2), ZERO_WORD),
-            Rule(parse_word("s1 s1 s1", 2), parse_word("s1", 2)),
-            Rule(parse_word("y3 s1 s2", 2), EMPTY_WORD),
-            flipped,
-        ])
+        _with_rules(z2, {
+            parse_word("s2 x1 y2", 2): ZERO_WORD,
+            parse_word("s1 s1 s1", 2): parse_word("s1", 2),
+            parse_word("y3 s1 s2", 2): EMPTY_WORD,
+            **flipped,
+        })
     )
     for p in presentations:
         assert critical_pairs(p) == _critical_pairs_reference(p)
     containments = [cp for cp in critical_pairs(presentations[-1]) if cp.overlap == cp.rule_left.lhs]
     assert len(containments) >= 1
+
+
+def test_normal_form_and_critical_pairs_read_one_rule_set():
+    # a left side has one rule: x1 s1 y1 -> 0 put in place of -> 1 leaves
+    # one rule for it, so normal_form and the critical pairs cannot disagree
+    z2 = _pres("z2")
+    lhs = parse_word("x1 s1 y1", 2)
+    assert z2.lhs_map[lhs] == EMPTY_WORD
+    flipped = Presentation(z2.n, z2.table, z2.coloring, {**z2.lhs_map, lhs: ZERO_WORD})
+    assert [r.rhs for r in flipped.rules if r.lhs == lhs] == [ZERO_WORD]
+    assert normal_form(lhs, flipped) == ZERO_WORD
+    rng = random.Random(1993)
+    presentations = [_pres(name) for name in BUILTIN_NAMES]
+    presentations.append(generate_presentation(_cyclic(8), build_coloring(8)))
+    presentations += [_tampered(p, rng, 6) for p in presentations] + [flipped]
+    for p in presentations:
+        assert len(p.rules) == len(p.lhs_map)
+        items = p.lhs_map.items()
+        for cp in critical_pairs(p):
+            assert (cp.rule_left.lhs, cp.rule_left.rhs) in items
+            assert (cp.rule_right.lhs, cp.rule_right.rhs) in items
 
 
 def test_z16_local_confluence_is_practical():
@@ -447,7 +463,7 @@ def test_enumerate_reads_the_rules():
     # a rule outside the paper's families removes its left side from the census
     z2 = _pres("z2")
     factor = parse_word("s1 x1 x2", 2)
-    p = _with_rules(z2, [Rule(factor, ZERO_WORD)])
+    p = _with_rules(z2, {factor: ZERO_WORD})
     got = enumerate_normal_forms(p, 4)
     base = enumerate_normal_forms(z2, 4)
     assert got == [w for w in base if all(w[t:t + 3] != factor for t in range(len(w) - 2))]

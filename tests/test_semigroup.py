@@ -72,6 +72,23 @@ def test_parse_bad_order():
         parse_cayley("0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\u0662\n1 +2\n2 0_1\n", "line 1: malformed order '\u0662'"),
+        ("2\n\u0661 2\n2 \u0661\n", "line 2: malformed integer '\u0661' at row 1, column 1"),
+        ("2\n1 +2\n2 1\n", "line 2: malformed integer '+2' at row 1, column 2"),
+        ("2\n1 2\n2 0_1\n", "line 3: malformed integer '0_1' at row 2, column 2"),
+        ("2\n1 \u00b2\n2 1\n", "line 2: malformed integer '\u00b2' at row 1, column 2"),
+    ],
+)
+def test_parse_accepts_only_ascii_digits(text, message):
+    # int() alone would read a sign, underscores and other digit scripts
+    with pytest.raises(CayleyParseError) as e:
+        parse_cayley(text)
+    assert str(e.value) == message
+
+
 def test_parse_does_not_reject_non_associative():
     # downstream tooling demonstrates detection of bad inputs
     t = parse_cayley("2\n2 1\n1 1\n")
