@@ -3,12 +3,19 @@
 Exit codes: 0 success/verified, 1 verification failure, 2 syntax or input
 error, 3 non-associative table, 4 coloring condition failure.  Reports go to
 stdout, diagnostics to stderr.
+
+main(argv) may be called any number of times in one process.  The parser is
+built on the first call and reused; it holds no command functions, and main
+looks up cmd_<command> in this module at each call, so a cmd_* replaced in
+the module namespace (by a tracer, say) is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .coloring import (
@@ -61,10 +68,8 @@ def cmd_nf(args) -> int:
 def cmd_check_complete(args) -> int:
     pres = _load_presentation(args.pres)
     ok, bad, pairs = check_local_confluence(pres)
-    combos = {}
-    for cp in pairs:
-        key = (cp.rule_left.family, cp.rule_right.family)
-        combos[key] = combos.get(key, 0) + 1
+    family = {r.lhs: r.family for r in pres.rules}
+    combos = Counter((family[cp.rule_left.lhs], family[cp.rule_right.lhs]) for cp in pairs)
     print(f"critical pairs: {len(pairs)}")
     for (f1, f2), count in sorted(combos.items()):
         print(f"  {f1}-{f2}: {count}")
@@ -139,6 +144,17 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _maxlen(text: str) -> int:
+    # ASCII digits, like every other number the CLI reads; int() alone would
+    # also take other scripts' digits, a '+', spaces and underscores.  A '-'
+    # is kept so that a negative value still reaches enumerate's own check
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfmonoid",
@@ -151,41 +167,33 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--cayley", help="Cayley table file")
     src.add_argument("--builtin", choices=BUILTIN_NAMES, help="builtin semigroup name")
     p.add_argument("--out", required=True, help="output presentation file (JSON)")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("nf", help="normal form of a word")
     p.add_argument("--pres", required=True, help="presentation file")
     p.add_argument("word", help="word in word syntax, e.g. 'x1 s2 y1'")
-    p.set_defaults(func=cmd_nf)
 
     p = sub.add_parser("check-complete", help="critical-pair confluence report")
     p.add_argument("--pres", required=True)
-    p.set_defaults(func=cmd_check_complete)
 
     p = sub.add_parser("check-f", help="check the six conditions on a coloring file")
     p.add_argument("coloring", help="coloring file in slice-per-block format")
-    p.set_defaults(func=cmd_check_f)
 
     p = sub.add_parser("check-embed", help="verify the semigroup embeds via its generators")
     p.add_argument("--pres", required=True)
-    p.set_defaults(func=cmd_check_embed)
 
     p = sub.add_parser("collapse", help="derive (1, 0) from a pair of distinct normal forms")
     p.add_argument("--pres", required=True)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--out", help="trace output file (default: stdout)")
-    p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("verify-trace", help="independently verify a trace file")
     p.add_argument("--pres", required=True)
     p.add_argument("trace", help="trace file")
-    p.set_defaults(func=cmd_verify_trace)
 
     p = sub.add_parser("enumerate", help="list nonzero normal forms up to a length")
     p.add_argument("--pres", required=True)
-    p.add_argument("--maxlen", type=int, required=True)
-    p.set_defaults(func=cmd_enumerate)
+    p.add_argument("--maxlen", type=_maxlen, required=True)
 
     return parser
 
@@ -193,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except NotAssociativeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -8,6 +8,7 @@ from collections import defaultdict
 
 import pytest
 
+from cfmonoid import cli
 from cfmonoid.cli import main
 from cfmonoid.coloring import Coloring, build_coloring, format_coloring
 from cfmonoid.presentation import (
@@ -366,6 +367,54 @@ def test_usage_error():
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("spelling", ["٣", "+2", " 2", "1_0"])
+def test_enumerate_maxlen_takes_ascii_digits_only(trivial_pres, capsys, spelling):
+    # int() takes each of these; --maxlen 1_0 on t2 would write 54 M lines
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        main(["enumerate", "--pres", str(trivial_pres), "--maxlen", spelling])
+    captured = capsys.readouterr()
+    assert e.value.code == 2
+    assert captured.out == ""
+    assert f"argument --maxlen: invalid int value: {spelling!r}" in captured.err
+
+
+def test_main_dispatches_by_name_at_each_call(z2_pres, capsys, monkeypatch):
+    # the parser is built once and reused, but the command function is looked
+    # up in the module at each call, so a replaced cmd_* is the one that runs
+    argv = ["check-embed", "--pres", str(z2_pres)]
+    capsys.readouterr()
+    assert main(argv) == 0 and main(argv) == 0
+    assert capsys.readouterr().out.count("embedding verified") == 2
+    seen = []
+
+    def replacement(args):
+        seen.append(args.pres)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_check_embed", replacement)
+    assert main(argv) == 7
+    assert seen == [str(z2_pres)]
+    assert capsys.readouterr().out == ""
+
+
+def test_usage_error_leaves_the_next_call_unchanged(z2_pres, capsys):
+    def run(argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    argv = ["check-complete", "--pres", str(z2_pres)]
+    capsys.readouterr()
+    before = run(argv)
+    with pytest.raises(SystemExit) as e:
+        main(["check-complete"])
+    assert e.value.code == 2
+    assert "the following arguments are required: --pres" in capsys.readouterr().err
+    assert run(argv) == before
+    assert before[0] == 0 and "system is complete" in before[1]
 
 
 @pytest.mark.parametrize(
