@@ -177,7 +177,8 @@ class ColoringConditionError(ValueError):
 class Presentation:
     """The rewriting system for order n: lhs_map, left side -> right side in rule order, is its rule set.
 
-    A left side not of 2 or 3 letters, or a right side longer than 1, raises ValueError.
+    A table or coloring whose order is not n, a left side not of 2 or 3
+    letters, or a right side longer than 1, raises ValueError.
     """
 
     n: int
@@ -186,6 +187,10 @@ class Presentation:
     lhs_map: dict
 
     def __post_init__(self):
+        if not self.n == self.table.n == self.coloring.n:
+            raise ValueError(
+                f"order mismatch: n={self.n}, table n={self.table.n}, coloring n={self.coloring.n}"
+            )
         for lhs, rhs in self.lhs_map.items():
             if len(lhs) not in (2, 3) or len(rhs) > 1:
                 raise ValueError(

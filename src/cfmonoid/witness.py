@@ -35,6 +35,8 @@ from .rewrite import is_normal_form, normal_form
 
 _TERMINAL = ((EMPTY_WORD, ZERO_WORD), (ZERO_WORD, EMPTY_WORD))
 _SWAP = {"x": "y", "y": "x", "s": "s", "z": "z"}
+_S1 = (("s", 1),)
+_X1 = (("x", 1),)
 
 
 @dataclass(frozen=True)
@@ -117,15 +119,11 @@ def _right_unit(q: Word, c: Coloring, fiber) -> list:
 
 def _unit_context(w: Word, c: Coloring):
     prefix, rest = _split(w)
-    b = _right_unit(rest, c, _row)
-    lone = prefix[-1][1] if prefix and prefix[-1][0] == "s" else None
-    if lone is not None:
-        prefix = prefix[:-1]
-    a = _mirror(_right_unit(_mirror(prefix), c, _column))
-    if lone is not None:
-        a = (("x", 1),) + a
-        b.append(("y", _least(c, _row(c, 1, lone))))
-    return a, tuple(b)
+    a = EMPTY_WORD
+    if prefix and prefix[-1][0] == "s":
+        # a lone s_j ending P is peeled as the head x_1 s_j of Q
+        prefix, rest, a = prefix[:-1], _X1 + prefix[-1:] + rest, _X1
+    return a + _mirror(_right_unit(_mirror(prefix), c, _column)), tuple(_right_unit(rest, c, _row))
 
 
 def unit_context(w: Word, p: Presentation):
@@ -136,8 +134,9 @@ def unit_context(w: Word, p: Presentation):
     with f(i, j, k) = 1.  The left context peels P the same way on its
     mirror image, with the transposed coloring: a leading y_k gets x_i s_1
     prepended with f(i, 1, k) = 1, a leading s_j y_k gets x_i with
-    f(i, j, k) = 1.  A trailing lone s_j of P is wrapped as x_1 s_j y_k
-    with f(1, j, k) = 1.
+    f(i, j, k) = 1.  A trailing lone s_j of P is moved to the head of Q as
+    x_1 s_j, so x_1 is prepended to the left context and the right context
+    ends with the y_k that x_1 s_j gets, f(1, j, k) = 1.
     """
     if w == ZERO_WORD:
         raise ValueError("the zero word has no unit context")
@@ -159,12 +158,17 @@ def _x_move(left: Word, right: Word, lx: bool, rx: bool, c: Coloring, m: int):
     m is 0 for the pair itself and 1 for its mirror image, whose searches
     read the fibers of fT and whose notes name C2, C4 and C6 for C1, C3 and
     C5 and the words' starts for their ends.  The note's {} is the multiplier.
+    Two sides that both end with a bare x are the pair with s_1 appended,
+    which both end x s: they get s_1 followed by that pair's multiplier.
     """
     fiber = _column if m else _row
     end, x, xs = ("start", "y", "s y") if m else ("end", "x", "x s")
     if lx and rx:
         li, lj = _end_pair(left)
         ri, rj = _end_pair(right)
+        if lj is None and rj is None:
+            g, note = _x_move(left + _S1, right + _S1, True, True, c, m)
+            return _S1 + g, note
         if lj is not None and rj is not None:
             if (li, lj) == (ri, rj):
                 k = _least(c, fiber(c, li, lj))
@@ -173,14 +177,6 @@ def _x_move(left: Word, right: Word, lx: bool, rx: bool, c: Coloring, m: int):
                 k = _least(c, list(map(ne, fiber(c, li, lj), fiber(c, ri, rj))))
                 note = f"both {end} {xs}, distinct pairs: split with {{}} (C{5 + m})"
             g = (("y", k),)
-        elif lj is None and rj is None:
-            if li == ri:
-                k = _least(c, fiber(c, li, 1))
-                note = f"both {end} {x}, equal index: strip with {{}} (C{1 + m})"
-            else:
-                k = _least(c, list(map(ne, fiber(c, li, 1), fiber(c, ri, 1))))
-                note = f"both {end} {x}, distinct indices: split with {{}} (C{5 + m})"
-            g = (("s", 1), ("y", k))
         else:
             i, j = (li, lj) if lj is not None else (ri, rj)
             g = (("y", _least(c, fiber(c, i, j))),)
@@ -203,9 +199,12 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
     word are allowed).  Each loop iteration either strictly shrinks the
     combined length or finishes through a unit context, so the trace length
     is linear in |u| + |v|.  The cases are tried in the order: one side zero,
-    both sides with x, both with y, one with x, one with y, and last the
-    empty word and single s-letters.  A pair with y in both sides, or in one
-    side and x in none, is the x case of its mirror image.
+    both sides with x, both with y, one with x, one with y.  A pair with y in
+    both sides, or in one side and x in none, is the x case of its mirror
+    image.  A pair of the empty word and single s-letters gets x_1 on the
+    left, which makes it the x-side pair (x_1, x_1 s_j), mixed ends (C1), or
+    (x_1 s_i, x_1 s_j), distinct pairs (C5), and is finished in the same
+    round by that pair's right multiplier.
     """
     if u == v:
         raise ValueError("identical inputs generate no congruence")
@@ -235,25 +234,16 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
             rx = any(r == "x" for r, _ in right)
             ly = any(r == "y" for r, _ in left)
             ry = any(r == "y" for r, _ in right)
+            if not (lx or rx or ly or ry):
+                # both sides are the empty word or a single s-letter
+                a, lx, rx = _X1, True, True
             if (lx and rx) or ((lx or rx) and not (ly and ry)):
-                b, note = _x_move(left, right, lx, rx, c, 0)
+                b, note = _x_move(a + left, a + right, lx, rx, c, 0)
                 note = note.format(format_word(b))
-            elif ly or ry:
+            else:
                 g, note = _x_move(_mirror(left), _mirror(right), ly, ry, c, 1)
                 a = _mirror(g)
                 note = note.format(format_word(a))
-            else:
-                # both sides are the empty word or a single s-letter
-                sl = left[0][1] if left else None
-                sr = right[0][1] if right else None
-                if sl is None or sr is None:
-                    j = sl if sl is not None else sr
-                    k = _least(c, _row(c, 1, j))
-                    note = f"identity vs s{j}: wrap x1 .. y{k} (C1)"
-                else:
-                    k = _least(c, list(map(ne, _row(c, 1, sl), _row(c, 1, sr))))
-                    note = f"s{sl} vs s{sr}: wrap x1 .. y{k} (C5)"
-                a, b = (("x", 1),), (("y", k),)
         if a:
             left, right = a + left, a + right
             steps.append(WitnessStep((left, right), ("MULL", a), note))

@@ -268,6 +268,16 @@ def test_generate_rejects_order_mismatch():
         generate_presentation(builtin("z2"), build_coloring(3))
 
 
+def test_presentation_rejects_an_order_that_is_not_its_table_and_coloring_order():
+    # n=3 over z2's table and coloring would list s3 as a normal form and
+    # send unit_context and collapse past the end of the table and coloring
+    z2, z3 = _pres("z2"), _pres("z3")
+    for n, table, coloring in ((3, z2.table, z2.coloring), (2, z3.table, z2.coloring), (2, z2.table, z3.coloring)):
+        with pytest.raises(ValueError, match="order mismatch"):
+            Presentation(n, table, coloring, z2.lhs_map)
+    assert Presentation(2, z2.table, z2.coloring, z2.lhs_map).lhs_map is z2.lhs_map
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_generated_left_sides_share_one_tuple_per_letter(n):
     p = generate_presentation(_cyclic(n), build_coloring(n))

@@ -337,8 +337,11 @@ def test_verify_parsed_trace_with_zero_words_inside():
 
 # ------------------------------------------------ the two-sided reference
 # collapse and unit_context as they were while every y-side case was written
-# out by hand beside its x-side twin; collapse now runs the y-side cases as
-# the x-side cases on the mirror image, and must give the same traces
+# out by hand beside its x-side twin, and the bare-x ends, the empty word
+# against single s-letters and a lone trailing s of P each had a search of
+# their own; collapse now runs the y-side cases as the x-side cases on the
+# mirror image and the other three as the x-side cases they reduce to, and
+# must give the same traces
 
 
 def _least_reference(p, hit):
@@ -599,8 +602,11 @@ def test_collapse_matches_reference_on_random_pairs(name):
     p = generate_presentation(_cyclic(8), build_coloring(8)) if name == "Z_8" else _pres(name)
     rng = random.Random(20130122)
     words = [_random_normal_form(p, rng, 8) for _ in range(600)] + [ZERO_WORD]
+    # the sample reaches past the short sweep's length 3, words whose P ends
+    # in a lone s included
+    assert any(len(u) > 3 and [r for r, _ in decompose(u, p)[0][-1:]] == ["s"] for u in words[:-1])
     for u in words[:-1]:
-        assert unit_context(u, p) == _unit_context_reference(u, p)
+        assert unit_context(u, p) == _unit_context_reference(u, p), format_word(u)
     for _ in range(6000):
         u, v = rng.choice(words), rng.choice(words)
         if u != v:
