@@ -19,9 +19,11 @@ which the generator and the loader's check both read:
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -215,17 +217,37 @@ def _right_side(family: str, lhs: Word, table: CayleyTable, coloring: Coloring) 
     return ZERO_WORD
 
 
+@contextmanager
+def _collector_paused():
+    # no automatic cyclic collection inside the block; on exit the collector
+    # is enabled again only if it was enabled on entry, so a nested pause or
+    # a caller that had disabled it keeps its state
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
-    # one rule per left side of each shape, in the order of _FAMILY_OF_SHAPE,
-    # each shape's left sides in lexicographic order; all left sides share
-    # one tuple per letter
+    """One rule per left side of each shape, in the order of _FAMILY_OF_SHAPE.
+
+    Each shape's left sides come in lexicographic order, and all left sides
+    share one tuple per letter.  The map is built with the cyclic collector
+    paused: its Θ(n³) new tuples would otherwise set off collections that
+    rescan every container built so far.  That is safe because the map and
+    its words are acyclic, so reference counting frees whatever is dropped.
+    """
     letters = alphabet(table.n, include_zero=True)
     of_role = {role: [a for a in letters if a[0] == role] for role in "sxyz"}
-    lhs_map = {
-        lhs: _right_side(family, lhs, table, coloring)
-        for shape, family in _FAMILY_OF_SHAPE.items()
-        for lhs in product(*[of_role[role] for role in shape])
-    }
+    with _collector_paused():
+        lhs_map = {
+            lhs: _right_side(family, lhs, table, coloring)
+            for shape, family in _FAMILY_OF_SHAPE.items()
+            for lhs in product(*[of_role[role] for role in shape])
+        }
     return Presentation(table.n, table, coloring, lhs_map)
 
 
@@ -260,28 +282,36 @@ def rule_counts(p: Presentation) -> Counter:
     return Counter(map(_family, p.lhs_map))
 
 
+def _indented_json(value, depth: int) -> str:
+    # json.dumps(value, indent=1) for a sequence whose items are ints or such
+    # sequences, written as an item at the given nesting depth; an empty
+    # sequence is "[]"
+    if not value:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    items = [str(v) if isinstance(v, int) else _indented_json(v, depth + 1) for v in value]
+    return f"[{pad}{(',' + pad).join(items)}\n{' ' * depth}]"
+
+
 def presentation_to_json(p: Presentation) -> str:
     """Serialize with deterministic key order; the rule list is stored explicitly.
 
     The text is byte for byte json.dumps(data, indent=1) of the dict
     {"n", "table", "coloring", "rules"}, each rule {"family", "lhs", "rhs"}
-    with words as token lists.  Only the header goes through json.dumps:
-    with an indent CPython falls back to its pure-Python encoder, which for
-    the (n+1) n (n+1) B rules of a large n is slow and holds millions of
-    small chunks at once.  Each rule is written from one template instead;
-    family names and tokens are plain identifiers that JSON quotes as they
-    are, and tokens come from the table that format_word uses.
+    with words as token lists, but json.dumps is not called: with an indent
+    CPython falls back to its pure-Python encoder, which is slow on the
+    (n+1) n (n+1) coloring bits and on as many B rules, and holds millions
+    of small chunks at once.  The header's int arrays come from a small
+    writer of the same layout and each rule from one template; family names
+    and tokens are plain identifiers that JSON quotes as they are, and
+    tokens come from the table that format_word uses.
     """
-    header = json.dumps(
-        {
-            "n": p.n,
-            "table": [list(row) for row in p.table.rows],
-            "coloring": [[list(row) for row in plane] for plane in p.coloring.bits],
-        },
-        indent=1,
+    header = (
+        f'{{\n "n": {p.n},\n "table": {_indented_json(p.table.rows, 1)},\n'
+        f' "coloring": {_indented_json(p.coloring.bits, 1)}'
     )
     if not p.lhs_map:
-        return header[:-2] + ',\n "rules": []\n}'
+        return header + ',\n "rules": []\n}'
 
     def word(w):
         if not w:
@@ -292,7 +322,7 @@ def presentation_to_json(p: Presentation) -> str:
         f'  {{\n   "family": "{_family(lhs)}",\n   "lhs": {word(lhs)},\n   "rhs": {word(rhs)}\n  }}'
         for lhs, rhs in p.lhs_map.items()
     ])
-    return f'{header[:-2]},\n "rules": [\n{rules}\n ]\n}}'
+    return f'{header},\n "rules": [\n{rules}\n ]\n}}'
 
 
 def _int_array(value, shape: tuple, lo: int, hi: int, name: str) -> tuple:
@@ -345,18 +375,36 @@ def presentation_from_json(text: str) -> Presentation:
     checks run in this order, and the first failure raises ValueError:
     n >= 1, table n x n with entries in 1..n, and coloring (n+1) x n x (n+1)
     with entries 0 or 1; the table must be associative (NotAssociativeError)
-    and the coloring must pass C1..C6 (ColoringConditionError); every rule
-    must be length-reducing with a left side of 2 or 3 letters; no two
-    rules may share a left side, since the records are decoded straight
-    into lhs_map, which holds one rule per left side; every stored family
-    label must be Rule.family, the family of its left side; a rule
-    x_i s_j y_k -> w must have w = 1 where f(i, j, k) = 1 and w = 0 where
-    f(i, j, k) = 0, and every C, Z_left and Z_right rule must rewrite to 0;
-    and there must be a rule for every left side of the five families.
+    and the coloring must pass C1..C6 (ColoringConditionError); each rule's
+    lhs and rhs must be a JSON list of tokens (an object or a string is not
+    a word); every rule must be length-reducing with a left side of 2 or 3
+    letters; no two rules may share a left side, since the records are
+    decoded straight into lhs_map, which holds one rule per left side;
+    every stored family label must be Rule.family, the family of its left
+    side; a rule x_i s_j y_k -> w must have w = 1 where f(i, j, k) = 1 and
+    w = 0 where f(i, j, k) = 0, and every C, Z_left and Z_right rule must
+    rewrite to 0; and there must be a rule for every left side of the five
+    families.
     Tokens are decoded by lookup in the token table that parse_word uses,
     cached per n, so all rules share one tuple per letter; a token missing
     from it goes through the token parser, which gives the error message.
+
+    The whole load runs with the cyclic collector paused.  Decoding a large
+    file makes about five containers per rule (the JSON record and token
+    lists, then the word tuples), and each batch of new containers would
+    otherwise set off a collection that rescans the ones already made: at
+    n=48 that was a third of the load.  Pausing is safe because all of this
+    data is acyclic: reference counting frees what is dropped, so nothing
+    is left waiting for the collector.
     """
+    with _collector_paused():
+        return _decode(text)
+
+
+def _decode(text: str) -> Presentation:
+    # presentation_from_json's load and checks; run in a frame of its own so
+    # that the JSON records are freed when it returns, before the pause ends,
+    # and the one collection that follows the pause scans only the rules kept
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
@@ -372,6 +420,8 @@ def presentation_from_json(text: str) -> Presentation:
         letter = _letters(n).__getitem__
 
         def word(tokens):
+            if type(tokens) is not list:
+                raise ValueError(f"invalid presentation file: a word must be a list of tokens, got {tokens!r}")
             try:
                 return tuple(map(letter, tokens))
             except (KeyError, TypeError):

@@ -342,6 +342,8 @@ def parse_trace(text: str, p: Presentation) -> WitnessTrace:
         bits = tag.split(None, 1)
         kind = bits[0] if bits else ""
         if kind == "GEN":
+            if len(bits) != 1:
+                raise ValueError(f"line {lineno}: GEN takes no argument")
             move = ("GEN",)
         elif kind in ("MULL", "MULR"):
             if len(bits) != 2:

@@ -253,6 +253,18 @@ def test_verify_bad_trace_syntax_exits_2(trivial_pres, tmp_path):
     assert main(["verify-trace", "--pres", str(trivial_pres), str(trace)]) == 2
 
 
+def test_verify_trace_with_an_argument_to_gen_exits_2(trivial_pres, tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    assert main(["collapse", "--pres", str(trivial_pres), "x1", "x2", "--out", str(trace)]) == 0
+    trace.write_text(trace.read_text().replace("\tGEN\t", "\tGEN whatever\t"))
+    capsys.readouterr()
+    rc = main(["verify-trace", "--pres", str(trivial_pres), str(trace)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: line 1: GEN takes no argument\n"
+    assert captured.out == ""
+
+
 def test_enumerate(trivial_pres, capsys):
     rc = main(["enumerate", "--pres", str(trivial_pres), "--maxlen", "2"])
     captured = capsys.readouterr()
@@ -620,6 +632,29 @@ def test_two_rules_for_one_left_side_exits_2(z2_pres, tmp_path, capsys, command)
     captured = capsys.readouterr()
     assert rc == 2
     assert "two rules for the left side x1 y1" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
+@pytest.mark.parametrize(
+    "side, lhs, word",
+    [("lhs", ["x1", "y1"], {"x1": 0, "y1": 0}), ("rhs", ["x1", "y1"], "0")],
+    ids=["object-lhs", "string-rhs"],
+)
+def test_word_that_is_not_a_list_exits_2(z2_pres, tmp_path, capsys, command, side, lhs, word):
+    # an object reads as its keys and a string as its characters, so both
+    # words here spell the rule's own and the file would pass both checks
+    data = json.loads(z2_pres.read_text())
+    (rule,) = [r for r in data["rules"] if r["lhs"] == lhs]
+    rule[side] = word
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main([command, "--pres", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"a word must be a list of tokens, got {word!r}" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -14,6 +15,8 @@ from cfmonoid.presentation import (
     WordSyntaxError,
     ZERO_LETTER,
     ZERO_WORD,
+    _generate_unchecked,
+    _indented_json,
     _parse_token,
     _token,
     alphabet,
@@ -321,10 +324,26 @@ def test_json_keeps_tampered_rules():
     assert loaded.rules[0].rhs == (("s", 2),)
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES + ("Z_8",))
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("Z_8", "Z_32"))
 def test_json_bytes_match_indented_json_dumps(name):
-    p = generate_presentation(_cyclic(8), build_coloring(8)) if name == "Z_8" else _pres(name)
+    if name.startswith("Z_"):
+        n = int(name[2:])
+        p = generate_presentation(_cyclic(n), build_coloring(n))
+    else:
+        p = _pres(name)
     assert presentation_to_json(p) == _reference_json(p)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[], (), [7], [[]], ((),), [[], [1]], ((1, 2), [3]), [[[0, 1], []], [[1]]], [[[]]], [0, [1], []]],
+)
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_header_writer_matches_indented_json_dumps(value, depth):
+    # an item at nesting depth d is json.dumps(indent=1) of it with every
+    # line after the first indented by d more spaces; an empty list is "[]"
+    expected = json.dumps(value, indent=1).replace("\n", "\n" + " " * depth)
+    assert _indented_json(value, depth) == expected
 
 
 def test_json_bytes_match_with_tampered_rule_and_without_rules():
@@ -479,6 +498,116 @@ def test_json_bad_input():
         presentation_from_json("{not json")
     with pytest.raises(ValueError, match="invalid presentation file"):
         presentation_from_json('{"n": 1}')
+
+
+@pytest.mark.parametrize(
+    "side, word",
+    [("lhs", {"s1": 0, "s2": 0}), ("rhs", "0"), ("lhs", "s1 s2"), ("rhs", None), ("rhs", 0)],
+    ids=["object-lhs", "string-rhs", "word-text-lhs", "null-rhs", "number-rhs"],
+)
+def test_json_rejects_a_word_that_is_not_a_list(side, word):
+    # iterating an object gives its keys and a string its characters, so
+    # {"s1": 0, "s2": 0} would read as s1 s2 and "0" as the zero letter
+    data = _json_data(_pres("z2"))
+    data["rules"][0][side] = word
+    with pytest.raises(ValueError) as e:
+        presentation_from_json(json.dumps(data))
+    assert str(e.value) == f"invalid presentation file: a word must be a list of tokens, got {word!r}"
+
+
+@pytest.fixture
+def collector():
+    # gc.enable or gc.disable to run a test under; the state it found is restored
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _z2_text(edit=None):
+    data = _json_data(_pres("z2"))
+    if edit:
+        edit(data)
+    return json.dumps(data)
+
+
+def _non_associative(data):
+    data["table"] = [[2, 1], [1, 1]]
+
+
+def _failing_c1(data):
+    data["coloring"][0][0] = [0, 0, 0]
+
+
+def _missing_rule(data):
+    del data["rules"][5]
+
+
+def _object_word(data):
+    data["rules"][0]["lhs"] = {"s1": 0, "s2": 0}
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (_z2_text(), None),
+        ("{not json", "invalid presentation JSON"),
+        (_z2_text(_non_associative), "not associative"),
+        (_z2_text(_failing_c1), "coloring fails C1"),
+        (_z2_text(_missing_rule), "no rule for the left side"),
+        (_z2_text(_object_word), "a word must be a list of tokens"),
+    ],
+    ids=["loads", "invalid-json", "non-associative", "fails-C1", "missing-rule", "object-word"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_load_leaves_the_collector_as_it_found_it(collector, enabled, text, error):
+    (gc.enable if enabled else gc.disable)()
+    if error is None:
+        presentation_from_json(text)
+    else:
+        with pytest.raises(ValueError, match=error):
+            presentation_from_json(text)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize(
+    "table, coloring, error",
+    [
+        (builtin("z2"), build_coloring(2), None),
+        (CayleyTable(2, ((2, 1), (1, 1))), build_coloring(2), "not associative"),
+        (builtin("z2"), Coloring(2, (((1, 1, 1),) * 2,) * 3), "coloring fails"),
+    ],
+    ids=["builds", "non-associative", "fails-C3"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_build_leaves_the_collector_as_it_found_it(collector, enabled, table, coloring, error):
+    (gc.enable if enabled else gc.disable)()
+    if error is None:
+        generate_presentation(table, coloring)
+    else:
+        with pytest.raises(ValueError, match=error):
+            generate_presentation(table, coloring)
+    assert gc.isenabled() is enabled
+
+
+def test_load_and_rule_generation_run_no_cyclic_collection_of_their_own(collector):
+    # at n=16 (5270 rules), with the collector running, a load set off 36
+    # collections and the rule generation that follows a build's checks 8;
+    # paused, only the one collection of what the call made is left, on the
+    # first allocation after the pause ends.  Each call starts from an
+    # explicit collection, which zeroes the count that sets off the next one
+    gc.enable()
+    table, coloring = _cyclic(16), build_coloring(16)
+    text = presentation_to_json(generate_presentation(table, coloring))
+    for call in (lambda: presentation_from_json(text), lambda: _generate_unchecked(table, coloring)):
+        starts = []
+        record = lambda phase, info: phase == "start" and starts.append(info["generation"])
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            call()
+        finally:
+            gc.callbacks.remove(record)
+        assert len(starts) <= 1
 
 
 def test_lhs_map_matches_rules():

@@ -316,6 +316,8 @@ def test_parse_trace_errors():
         parse_trace("0\tGEN\tx1\tx2\n1\tREWRITE sideways\tx1\tx2\n", p)
     with pytest.raises(ValueError, match="needs a word argument"):
         parse_trace("0\tGEN\tx1\tx2\n1\tMULL\tx1\tx2\n", p)
+    with pytest.raises(ValueError, match="line 1: GEN takes no argument"):
+        parse_trace("0\tGEN whatever\tx1\tx2\n", p)
 
 
 def test_parse_trace_takes_only_ascii_digits():
