@@ -62,7 +62,9 @@ def _parse_token(tok: str, n: int) -> Letter:
         return ZERO_LETTER
     role, digits = tok[:1], tok[1:]
     if role not in ("s", "x", "y") or not (digits.isascii() and digits.isdigit()):
-        raise WordSyntaxError(f"unknown token {tok!r}")
+        # a token that is not a string (a JSON list in a presentation file)
+        # is a TypeError, which the loader reports as an invalid file
+        raise (WordSyntaxError if type(tok) is str else TypeError)(f"unknown token {tok!r}")
     idx = int(digits)
     hi = n if role == "s" else n + 1
     if not 1 <= idx <= hi:
@@ -375,10 +377,11 @@ def presentation_from_json(text: str) -> Presentation:
     checks run in this order, and the first failure raises ValueError:
     n >= 1, table n x n with entries in 1..n, and coloring (n+1) x n x (n+1)
     with entries 0 or 1; the table must be associative (NotAssociativeError)
-    and the coloring must pass C1..C6 (ColoringConditionError); each rule's
-    lhs and rhs must be a JSON list of tokens (an object or a string is not
-    a word); every rule must be length-reducing with a left side of 2 or 3
-    letters; no two rules may share a left side, since the records are
+    and the coloring must pass C1..C6 (ColoringConditionError); rules must
+    be a JSON list, and each rule's lhs and rhs a JSON list of token strings
+    (an object or a string is not a word, and a list is not a token);
+    every rule must be length-reducing with a left side of 2 or 3 letters;
+    no two rules may share a left side, since the records are
     decoded straight into lhs_map, which holds one rule per left side;
     every stored family label must be Rule.family, the family of its left
     side; a rule x_i s_j y_k -> w must have w = 1 where f(i, j, k) = 1 and
@@ -428,6 +431,8 @@ def _decode(text: str) -> Presentation:
                 return tuple(_parse_token(t, n) for t in tokens)
 
         records = data["rules"]
+        if type(records) is not list:
+            raise ValueError("invalid presentation file: rules must be a list")
         lhs_map = {word(r["lhs"]): word(r["rhs"]) for r in records}
         labels = [r["family"] for r in records]
     except (KeyError, TypeError, IndexError) as e:

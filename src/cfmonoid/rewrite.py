@@ -74,40 +74,46 @@ def critical_pairs(p: Presentation) -> list:
     """All minimal overlaps between rule left-hand sides.
 
     Covers proper suffix-prefix overlaps and containment of one lhs inside
-    another; with the generated rule set only proper overlaps occur.  Two maps
-    are built once, proper prefix -> rules and whole lhs -> rules (an
-    Aho-Corasick-style index over the left sides).  For each rule r1, every
-    proper suffix of its lhs is looked up in the first (the overlaps) and every
-    shorter factor in the second (the containments).  Over R rules that is
-    O(R * |lhs|^2) lookups plus O(#pairs) to build the pairs, instead of
-    comparing all R^2 rule pairs.
+    another; with the generated rule set only proper overlaps occur.  Every
+    left side has 2 or 3 letters (Presentation checks this), so an overlap
+    of r1's lhs with r2's is 1 letter long, or 2 when both have 3 letters,
+    and a containment is a 2-letter lhs at offset 0 or 1 of a 3-letter one.
+    Three maps are built once: first letter -> rules, first two letters of
+    a 3-letter lhs -> rules, and lhs -> rule.  Each rule r1 then makes at
+    most four lookups: its last letter in the first map, and for a 3-letter
+    lhs its last two letters in the second and its first and last two in
+    the third.  Over R rules that is O(R) lookups plus O(#pairs) to build
+    the pairs, instead of comparing all R^2 rule pairs.
 
     Pairs are ordered by r1, then r2, in rule order (each rule's hits are
     sorted); for one (r1, r2) the overlaps come first by overlap length, then
     the containments by offset.
     """
     rules = p.rules
+    # a hit is (r2 index, 0 overlap / 1 containment, overlap length / offset);
+    # the two overlap maps hold their hits, in rule order
+    by_first = defaultdict(list)
     by_prefix = defaultdict(list)
-    by_lhs = defaultdict(list)
+    index = {}
     for j, r in enumerate(rules):
-        by_lhs[r.lhs].append(j)
-        for o in range(1, len(r.lhs)):
-            by_prefix[r.lhs[:o]].append(j)
+        lhs = r.lhs
+        index[lhs] = j
+        by_first[lhs[0]].append((j, 0, 1))
+        if len(lhs) == 3:
+            by_prefix[lhs[:2]].append((j, 0, 2))
     pairs = []
     for r1 in rules:
         l1 = r1.lhs
         n1 = len(l1)
-        hits = []  # (r2 index, 0 overlap / 1 containment, overlap length / offset)
-        for o in range(1, n1):
-            hits.extend((j, 0, o) for j in by_prefix.get(l1[n1 - o:], ()))
-        for width in range(1, n1):
-            for t in range(n1 - width + 1):
-                hits.extend((j, 1, t) for j in by_lhs.get(l1[t:t + width], ()))
-        hits.sort()
+        hits = by_first.get(l1[-1], ())
+        if n1 == 3:
+            hits = [*hits, *by_prefix.get(l1[1:], ())]
+            hits += [(index[f], 1, t) for t, f in ((0, l1[:2]), (1, l1[1:])) if f in index]
+            hits.sort()
         for j, contained, k in hits:
             r2 = rules[j]
             if contained:
-                right = l1[:k] + r2.rhs + l1[k + len(r2.lhs):]
+                right = l1[:k] + r2.rhs + l1[k + 2:]
                 pairs.append(CriticalPair(l1, r1.rhs, right, r1, r2, k))
             else:
                 tail = r2.lhs[k:]
@@ -115,18 +121,29 @@ def critical_pairs(p: Presentation) -> list:
     return pairs
 
 
+class _NormalForms(dict):
+    # word -> normal_form(word, p), each distinct word reduced on first use
+    def __init__(self, p: Presentation):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, w):
+        nf = self[w] = normal_form(w, self.p)
+        return nf
+
+
 def check_local_confluence(p: Presentation):
     """Join the critical pairs until one fails.
 
     Returns (all_joinable, first_failure, pairs); first_failure is the first
     pair, in critical_pairs order, whose reducts have different normal forms,
-    or None when the system is confluent.
+    or None when the system is confluent.  Many pairs share a reduct (at n=8
+    the 5706 reducts of the 2853 pairs are 262 distinct words), so each
+    distinct reduct is reduced once, on first use, and looked up after that.
     """
     pairs = critical_pairs(p)
-    first_bad = next(
-        (cp for cp in pairs if normal_form(cp.left_reduct, p) != normal_form(cp.right_reduct, p)),
-        None,
-    )
+    nf = _NormalForms(p)
+    first_bad = next((cp for cp in pairs if nf[cp.left_reduct] != nf[cp.right_reduct]), None)
     return first_bad is None, first_bad, pairs
 
 
@@ -138,6 +155,11 @@ class _Successors(dict):
     the letters that extend w depend only on its tail, the last <= 2
     letters.  A child w a has the tail (last letter of w, a) and a's token.
     Children come in alphabet order; each tail's entry is made on first use.
+    A 2-letter tail that starts no 3-letter left side bans only what its
+    last letter bans, so it shares that letter's entry: a walk makes one
+    entry for the empty tail, one per letter and one per 2-letter tail that
+    starts a 3-letter left side (99 for Z_8, where the tails read up to
+    length 4 are 558).
     """
 
     def __init__(self, p: Presentation):
@@ -149,9 +171,11 @@ class _Successors(dict):
         self.letters = [(a, format_word((a,))) for a in alphabet(p.n)]
 
     def __missing__(self, tail):
-        none = frozenset()
         last = tail[-1:]
-        banned = self.completes.get(last, none) | self.completes.get(tail, none)
+        if len(tail) == 2 and tail not in self.completes:
+            entry = self[tail] = self[last]
+            return entry
+        banned = self.completes.get(last, frozenset()) | self.completes.get(tail, frozenset())
         kids = [(last + (a,), tok) for a, tok in self.letters if a not in banned]
         entry = self[tail] = (tuple(t for t, _ in kids), tuple(tok for _, tok in kids))
         return entry

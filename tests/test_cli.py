@@ -659,6 +659,31 @@ def test_word_that_is_not_a_list_exits_2(z2_pres, tmp_path, capsys, command, sid
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda data: data.update(rules={}), "invalid presentation file: rules must be a list"),
+        (
+            lambda data: data["rules"][0].update(lhs=[["s1"], "s1"]),
+            "invalid presentation file: unknown token ['s1']",
+        ),
+    ],
+    ids=["rules-object", "list-token"],
+)
+def test_rules_or_token_of_the_wrong_json_type_exits_2(z2_pres, tmp_path, capsys, command, edit, error):
+    data = json.loads(z2_pres.read_text())
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main([command, "--pres", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+
+
 def test_collapse_on_a_z_rule_that_does_not_rewrite_to_0_exits_2(z2_pres, tmp_path, capsys):
     # s1 0 -> x3 is a Z_right rule that does not rewrite to 0, so the loader
     # rejects the file before collapse runs; collapse's step bound, which such

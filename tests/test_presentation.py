@@ -373,7 +373,9 @@ def test_json_compact_file_loads():
         ("1", "unknown token '1'"),
         (5, "invalid presentation file: 'int' object is not subscriptable"),
         (None, "invalid presentation file: 'NoneType' object is not subscriptable"),
-        (["s1"], "unknown token ['s1']"),
+        # a list is not a token but a file error; the id is the one the case
+        # had before the message carried the prefix
+        pytest.param(["s1"], "invalid presentation file: unknown token ['s1']", id="token6-unknown token ['s1']"),
     ],
 )
 @pytest.mark.parametrize("side", ["lhs", "rhs"])
@@ -383,6 +385,21 @@ def test_json_bad_token_messages(token, error, side):
     with pytest.raises(ValueError) as e:
         presentation_from_json(json.dumps(data))
     assert str(e.value) == error
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [{}, {"0": {"family": "A", "lhs": ["s1", "s1"], "rhs": ["s1"]}}, "s1 s1", None, 0],
+    ids=["empty-object", "object", "string", "null", "number"],
+)
+def test_json_rules_must_be_a_list(rules):
+    # iterating an object gives its keys, so {} read as no rules at all and
+    # was reported as the first missing left side
+    data = _json_data(_pres("z2"))
+    data["rules"] = rules
+    with pytest.raises(ValueError) as e:
+        presentation_from_json(json.dumps(data))
+    assert str(e.value) == "invalid presentation file: rules must be a list"
 
 
 @pytest.mark.parametrize("token", ["s\u0661", "y\u00b2"])

@@ -3,7 +3,8 @@ import random
 import time
 from collections import Counter
 
-from cfmonoid.coloring import build_coloring
+from cfmonoid import rewrite
+from cfmonoid.coloring import Coloring, build_coloring, check_conditions, conditions_ok
 from cfmonoid.presentation import (
     EMPTY_WORD,
     Presentation,
@@ -313,6 +314,34 @@ def test_flipped_b_rule_still_locally_confluent():
     assert ok
 
 
+def _first_unjoinable_reference(p):
+    # a plain scan: the first pair, in critical_pairs order, whose two reducts
+    # have different normal forms, each reduct reduced afresh
+    return next(
+        (cp for cp in critical_pairs(p) if normal_form(cp.left_reduct, p) != normal_form(cp.right_reduct, p)),
+        None,
+    )
+
+
+def test_first_failure_matches_plain_scan():
+    # check_local_confluence reduces each distinct reduct once; its verdict and
+    # first failure must be the plain scan's, on confluent and tampered systems
+    rng = random.Random(2013)
+    presentations = [_pres(name) for name in BUILTIN_NAMES]
+    presentations.append(generate_presentation(_cyclic(8), build_coloring(8)))
+    tampered = [_tampered(p, rng, count) for p in presentations for count in (1, 3, 6)]
+    non_associative = _generate_unchecked(CayleyTable(2, ((2, 1), (1, 1))), build_coloring(2))
+    failures = 0
+    for p in presentations + tampered + [non_associative]:
+        ok, bad, pairs = check_local_confluence(p)
+        want = _first_unjoinable_reference(p)
+        assert bad == want
+        assert ok == (want is None)
+        assert pairs == critical_pairs(p)
+        failures += bad is not None
+    assert failures >= len(tampered) // 2
+
+
 def _cyclic(n):
     return CayleyTable(n, tuple(tuple((i + j) % n + 1 for j in range(n)) for i in range(n)))
 
@@ -468,6 +497,71 @@ def test_enumerate_reads_the_rules():
     base = enumerate_normal_forms(z2, 4)
     assert got == [w for w in base if all(w[t:t + 3] != factor for t in range(len(w) - 2))]
     assert len(got) < len(base)
+
+
+def test_enumerate_matches_brute_force_with_extra_left_sides():
+    # 3-letter left sides of shapes other than x s y: the tails s1 x1 and
+    # y3 s1 start one, so each gets an entry of its own instead of its last
+    # letter's; s1 s1 s1 contains the A left side s1 s1, so its start is
+    # never the tail of a normal form
+    z2 = _pres("z2")
+    extra = {parse_word(w, 2): ZERO_WORD for w in ("s1 x1 x2", "y3 s1 s2", "s1 s1 s1")}
+    p = _with_rules(z2, extra)
+    want = [
+        w
+        for w in sorted(_all_words(p, 4, include_zero=False), key=lambda w: (len(w), w))
+        if is_normal_form(w, p)
+    ]
+    assert enumerate_normal_forms(p, 4) == want
+    assert want != enumerate_normal_forms(z2, 4)
+
+
+def test_successor_entries_are_shared_by_last_letter(monkeypatch):
+    # a walk makes one entry per letter, one for the empty tail and one per
+    # x_i s_j (the starts of the B left sides): 1 + 26 + 9 * 8 = 99 at n=8,
+    # where the tails it reads up to length 4 number 558
+    tables = []
+
+    class Recorded(rewrite._Successors):
+        def __init__(self, p):
+            super().__init__(p)
+            tables.append(self)
+
+    monkeypatch.setattr(rewrite, "_Successors", Recorded)
+    p = generate_presentation(_cyclic(8), build_coloring(8))
+    enumerate_normal_forms(p, 4)
+    (table,) = tables
+    assert len(table) == 558
+    assert len({id(entry) for entry in table.values()}) == 99
+
+
+def _n2_colorings():
+    # rows first: the six (i, j) index pairs of n=2 take the six non-constant
+    # 3-bit rows as their y-fibers in some order (C1, C3 and C5 leave no
+    # other choice), and check_conditions keeps those that also pass C2, C4
+    # and C6
+    rows = [r for r in itertools.product((0, 1), repeat=3) if 0 < sum(r) < 3]
+    for perm in itertools.permutations(rows):
+        c = Coloring(2, tuple(perm[2 * i:2 * i + 2] for i in range(3)))
+        if conditions_ok(check_conditions(c)):
+            yield c
+
+
+def test_every_n2_coloring_gives_a_complete_system():
+    # the paper's lemma at n=2, beyond build_coloring: all 144 colorings that
+    # pass C1..C6 (the brute-force count over all 2^18) give a complete system
+    # with each table of order 2, with the plain scan's verdict
+    colorings = list(_n2_colorings())
+    assert len(colorings) == 144
+    assert build_coloring(2) in colorings
+    tables = [builtin(name) for name in BUILTIN_NAMES if builtin(name).n == 2]
+    assert len(tables) == 4
+    for table in tables:
+        for c in colorings:
+            p = generate_presentation(table, c)
+            ok, bad, _ = check_local_confluence(p)
+            assert ok and bad is None
+            assert _first_unjoinable_reference(p) is None
 
 
 def test_enumerate_is_length_lexicographic():
