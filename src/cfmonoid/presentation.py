@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .coloring import Coloring, check_conditions, conditions_ok
@@ -52,19 +52,26 @@ RULE_FAMILIES = tuple(dict.fromkeys(_FAMILY_OF_SHAPE.values()))
 # the right side of the B rule x_i s_j y_k, indexed by the bit f(i, j, k)
 _B_RHS = (ZERO_WORD, EMPTY_WORD)
 
+# the empty row of Presentation._by_last_two and the empty 3-letter map of its
+# entries: shared, so never written to
+_NO_RULES = {}
+
 
 class WordSyntaxError(ValueError):
     pass
 
 
 def _parse_token(tok: str, n: int) -> Letter:
+    if type(tok) is not str:
+        # a token that is not a string (a JSON number, null, true, list or
+        # object in a presentation file) is a TypeError, which the loader
+        # reports as an invalid file
+        raise TypeError(f"unknown token {tok!r}")
     if tok == "0":
         return ZERO_LETTER
     role, digits = tok[:1], tok[1:]
     if role not in ("s", "x", "y") or not (digits.isascii() and digits.isdigit()):
-        # a token that is not a string (a JSON list in a presentation file)
-        # is a TypeError, which the loader reports as an invalid file
-        raise (WordSyntaxError if type(tok) is str else TypeError)(f"unknown token {tok!r}")
+        raise WordSyntaxError(f"unknown token {tok!r}")
     idx = int(digits)
     hi = n if role == "s" else n + 1
     if not 1 <= idx <= hi:
@@ -182,7 +189,10 @@ class Presentation:
     """The rewriting system for order n: lhs_map, left side -> right side in rule order, is its rule set.
 
     A table or coloring whose order is not n, a left side not of 2 or 3
-    letters, or a right side longer than 1, raises ValueError.
+    letters, or a right side longer than 1, raises ValueError.  The first
+    reduction (normal_form, or the normal-form walk) indexes lhs_map by the
+    last two letters of each left side and keeps that index with the value,
+    so lhs_map must not change after it.
     """
 
     n: int
@@ -206,6 +216,35 @@ class Presentation:
     def rules(self) -> tuple:
         """The items of lhs_map as Rule values, in rule order; built on each read."""
         return tuple(Rule(lhs, rhs) for lhs, rhs in self.lhs_map.items())
+
+    @cached_property
+    def _by_last_two(self) -> dict:
+        """The rules by their last two letters: b -> c -> (the right side of the rule b c, or
+        None; {a: the right side of the rule a b c}).
+
+        normal_form and the normal-form walk read it.  It is built on first
+        read, in one pass over lhs_map, and kept with the value (outside its
+        fields, so == and repr do not see it); lhs_map must not change after
+        that.  A letter that is next to last in no left side has no row, and
+        an entry that ends no 3-letter left side has _NO_RULES as its map.
+        """
+        rows = {}
+        for lhs, rhs in self.lhs_map.items():
+            if len(lhs) == 2:
+                b, c = lhs
+            else:
+                a, b, c = lhs
+            row = rows.get(b)
+            if row is None:
+                row = rows[b] = {}
+            two, three = row.get(c, (None, _NO_RULES))
+            if len(lhs) == 2:
+                row[c] = (rhs, three)
+            elif three is _NO_RULES:
+                row[c] = (two, {a: rhs})
+            else:
+                three[a] = rhs
+        return rows
 
 
 def _right_side(family: str, lhs: Word, table: CayleyTable, coloring: Coloring) -> Word:

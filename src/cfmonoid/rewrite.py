@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .presentation import EMPTY_WORD, Presentation, Rule, Word, alphabet, format_word
+from .presentation import _NO_RULES, EMPTY_WORD, Presentation, Rule, Word, alphabet, format_word
 
 
 def normal_form(w: Word, p: Presentation) -> Word:
@@ -27,18 +27,36 @@ def normal_form(w: Word, p: Presentation) -> Word:
     rewrites the leftmost redex of the current word, the shorter one where
     two start at the same letter, so even a system that is not confluent
     gets the leftmost strategy's result.
+
+    The rules are read through p's index by last two letters, built on the
+    first call and kept, so p.lhs_map must not change after that.  The row
+    of the top letter is kept in a local, so a letter c with no entry there
+    costs two lookups of one letter: c in that row, then c's own row, which
+    becomes the top one.  Only on a hit are the top two letters tried, and
+    then the top one.
     """
-    get = p.lhs_map.get
+    row_of = p._by_last_two.get
     out = []
+    push = out.append
+    row = _NO_RULES
     for c in w:
         while True:
-            if len(out) > 1 and (rhs := get((out[-2], out[-1], c))) is not None:
+            hit = row.get(c)
+            if hit is None:
+                push(c)
+                row = row_of(c, _NO_RULES)
+                break
+            two, three = hit
+            if three and len(out) > 1 and (rhs := three.get(out[-2])) is not None:
                 del out[-2:]
-            elif out and (rhs := get((out[-1], c))) is not None:
+            elif two is not None:
+                rhs = two
                 del out[-1]
             else:
-                out.append(c)
+                push(c)
+                row = row_of(c, _NO_RULES)
                 break
+            row = row_of(out[-1], _NO_RULES) if out else _NO_RULES
             if not rhs:
                 break
             c = rhs[0]
@@ -159,23 +177,26 @@ class _Successors(dict):
     last letter bans, so it shares that letter's entry: a walk makes one
     entry for the empty tail, one per letter and one per 2-letter tail that
     starts a 3-letter left side (99 for Z_8, where the tails read up to
-    length 4 are 558).
+    length 4 are 558).  The banned letters are read from the row of the
+    last letter in p's index by last two letters, which normal_form reads.
     """
 
     def __init__(self, p: Presentation):
         super().__init__()
-        # left side minus its last letter -> the letters that complete it
-        self.completes = defaultdict(set)
-        for lhs in p.lhs_map:
-            self.completes[lhs[:-1]].add(lhs[-1])
+        self.rows = p._by_last_two
+        # b -> the letters a for which a b starts a 3-letter left side
+        self.starts = {b: set().union(*(three for _, three in row.values())) for b, row in self.rows.items()}
         self.letters = [(a, format_word((a,))) for a in alphabet(p.n)]
 
     def __missing__(self, tail):
         last = tail[-1:]
-        if len(tail) == 2 and tail not in self.completes:
+        if len(tail) == 2 and tail[0] not in self.starts.get(tail[1], ()):
             entry = self[tail] = self[last]
             return entry
-        banned = self.completes.get(last, frozenset()) | self.completes.get(tail, frozenset())
+        # in the row of the last letter b, c is banned after any tail ending
+        # in b if b c is a left side, and after the tail a b if a b c is one
+        row = self.rows.get(tail[-1], _NO_RULES) if tail else _NO_RULES
+        banned = {c for c, (two, three) in row.items() if two is not None or len(tail) == 2 and tail[0] in three}
         kids = [(last + (a,), tok) for a, tok in self.letters if a not in banned]
         entry = self[tail] = (tuple(t for t, _ in kids), tuple(tok for _, tok in kids))
         return entry

@@ -668,8 +668,13 @@ def test_word_that_is_not_a_list_exits_2(z2_pres, tmp_path, capsys, command, sid
             lambda data: data["rules"][0].update(lhs=[["s1"], "s1"]),
             "invalid presentation file: unknown token ['s1']",
         ),
+        (lambda data: data["rules"][0].update(lhs=[5, "s1"]), "invalid presentation file: unknown token 5"),
+        (
+            lambda data: data["rules"][0].update(rhs=[{"a": 1}]),
+            "invalid presentation file: unknown token {'a': 1}",
+        ),
     ],
-    ids=["rules-object", "list-token"],
+    ids=["rules-object", "list-token", "number-token", "object-token"],
 )
 def test_rules_or_token_of_the_wrong_json_type_exits_2(z2_pres, tmp_path, capsys, command, edit, error):
     data = json.loads(z2_pres.read_text())

@@ -371,11 +371,17 @@ def test_json_compact_file_loads():
         ("s9", "index out of range in token 's9' (max s2 for n=2)"),
         ("x4", "index out of range in token 'x4' (max x3 for n=2)"),
         ("1", "unknown token '1'"),
-        (5, "invalid presentation file: 'int' object is not subscriptable"),
-        (None, "invalid presentation file: 'NoneType' object is not subscriptable"),
-        # a list is not a token but a file error; the id is the one the case
-        # had before the message carried the prefix
+        # a token that is not a string is a file error that names the token;
+        # the ids of 5, None and ["s1"] are the ones those cases had when
+        # the message was Python's own
+        pytest.param(5, "invalid presentation file: unknown token 5",
+                     id="5-invalid presentation file: 'int' object is not subscriptable"),
+        pytest.param(None, "invalid presentation file: unknown token None",
+                     id="None-invalid presentation file: 'NoneType' object is not subscriptable"),
         pytest.param(["s1"], "invalid presentation file: unknown token ['s1']", id="token6-unknown token ['s1']"),
+        (True, "invalid presentation file: unknown token True"),
+        (1.5, "invalid presentation file: unknown token 1.5"),
+        pytest.param({"a": 1}, "invalid presentation file: unknown token {'a': 1}", id="object"),
     ],
 )
 @pytest.mark.parametrize("side", ["lhs", "rhs"])

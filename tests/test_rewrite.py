@@ -206,6 +206,58 @@ def test_normal_form_is_linear():
     assert elapsed < 2.0, f"s1^200000 and x1^100000 s1 y1^100000 took {elapsed:.2f}s"
 
 
+def test_letters_outside_the_rules_pass_through():
+    # ("x", n + 5) and ("q", 1) end no left side and have no row in the
+    # index: they are pushed as they are and split the redexes around them
+    z2 = _pres("z2")
+    far, q = ("x", z2.n + 5), ("q", 1)
+    assert far not in alphabet(z2.n) and q not in alphabet(z2.n)
+    s1, x1, y1 = ("s", 1), ("x", 1), ("y", 1)
+    cases = {
+        (far,): (far,),
+        (q, q): (q, q),
+        (s1, far, s1): (s1, far, s1),
+        (x1, s1, q, y1): (x1, s1, q, y1),
+        (s1, s1, q, x1, s1, y1, far): (("s", z2.table.mul(1, 1)), q, far),
+        (q, x1, y1, far): (q, ZERO_WORD[0], far),
+    }
+    for w, want in cases.items():
+        assert normal_form(w, z2) == _normal_form_reference(w, z2) == want, format_word(w)
+    rng = random.Random(5)
+    letters = alphabet(z2.n, include_zero=True) + (far, q)
+    for _ in range(300):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
+        assert normal_form(w, z2) == _normal_form_reference(w, z2), format_word(w)
+
+
+def test_each_presentation_reduces_with_its_own_rules():
+    # z2 and flipped differ in one right side, so an index shared between
+    # them, or kept from the first one reduced, gives one of them wrong
+    z2 = _pres("z2")
+    lhs = parse_word("x1 s1 y1", 2)
+    flipped = Presentation(z2.n, z2.table, z2.coloring, {**z2.lhs_map, lhs: ZERO_WORD})
+    assert [normal_form(lhs, p) for p in (z2, flipped, z2)] == [EMPTY_WORD, ZERO_WORD, EMPTY_WORD]
+
+
+def test_index_holds_the_rules_and_leaves_the_value_as_it_was():
+    # the index is one entry per left side, read back here into lhs_map; it
+    # is kept outside the fields, so == and repr are those of the value
+    rng = random.Random(14)
+    for p in [_pres(name) for name in BUILTIN_NAMES] + [_tampered(_pres("t2"), rng, 6)]:
+        q = Presentation(p.n, p.table, p.coloring, dict(p.lhs_map))
+        before = repr(p)
+        assert p == q
+        read = {}
+        for b, row in p._by_last_two.items():
+            for c, (two, three) in row.items():
+                if two is not None:
+                    read[b, c] = two
+                read.update(((a, b, c), rhs) for a, rhs in three.items())
+        assert read == p.lhs_map
+        assert p == q and q == p
+        assert repr(p) == before == repr(q)
+
+
 # ------------------------------------------------------------- critical pairs
 
 def test_trivial_critical_pair_census():
