@@ -203,15 +203,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
-    except NotAssociativeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ColoringConditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, NotAssociativeError) else 4 if isinstance(e, ColoringConditionError) else 2
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
+from types import MappingProxyType
 
 from .coloring import Coloring, check_conditions, conditions_ok
 from .semigroup import CayleyTable, is_associative
@@ -189,16 +190,15 @@ class Presentation:
     """The rewriting system for order n: lhs_map, left side -> right side in rule order, is its rule set.
 
     A table or coloring whose order is not n, a left side not of 2 or 3
-    letters, or a right side longer than 1, raises ValueError.  The first
-    reduction (normal_form, or the normal-form walk) indexes lhs_map by the
-    last two letters of each left side and keeps that index with the value,
-    so lhs_map must not change after it.
+    letters, or a right side longer than 1, raises ValueError.  lhs_map is
+    read-only: a dict is wrapped, not copied, in a MappingProxyType, and a
+    map that is one already is kept as it is.
     """
 
     n: int
     table: CayleyTable
     coloring: Coloring
-    lhs_map: dict
+    lhs_map: MappingProxyType
 
     def __post_init__(self):
         if not self.n == self.table.n == self.coloring.n:
@@ -211,6 +211,8 @@ class Presentation:
                     "rule must be length-reducing with a left side of 2 or 3 letters and a right side"
                     f" of at most 1: {format_word(lhs)} -> {format_word(rhs)}"
                 )
+        if type(self.lhs_map) is not MappingProxyType:
+            object.__setattr__(self, "lhs_map", MappingProxyType(self.lhs_map))
 
     @property
     def rules(self) -> tuple:
@@ -224,9 +226,9 @@ class Presentation:
 
         normal_form and the normal-form walk read it.  It is built on first
         read, in one pass over lhs_map, and kept with the value (outside its
-        fields, so == and repr do not see it); lhs_map must not change after
-        that.  A letter that is next to last in no left side has no row, and
-        an entry that ends no 3-letter left side has _NO_RULES as its map.
+        fields, so == and repr do not see it).  A letter that is next to last
+        in no left side has no row, and an entry that ends no 3-letter left
+        side has _NO_RULES as its map.
         """
         rows = {}
         for lhs, rhs in self.lhs_map.items():
@@ -443,6 +445,30 @@ def presentation_from_json(text: str) -> Presentation:
         return _decode(text)
 
 
+# the JSON names of the decoded types but an object and a number, for messages
+_JSON_TYPE = {list: "a list", str: "a string", bool: "a boolean", type(None): "null"}
+
+
+def _fault(data, error: Exception) -> str:
+    # what is wrong with a file whose decoding raised a KeyError or TypeError:
+    # a top level that is not an object, a missing field, or a rule record
+    # that is not an object or lacks a field, the first by rule number from
+    # 1; else the error's own text (a token that is not a string).  It runs
+    # on the error path only, so a valid file pays nothing per rule.
+    if type(data) is not dict:
+        return f"the top level must be an object, not {_JSON_TYPE.get(type(data), 'a number')}"
+    missing = [key for key in ("n", "table", "coloring", "rules") if key not in data]
+    if missing:
+        return f"no field {missing[0]!r}"
+    for number, r in enumerate(data["rules"] if type(data["rules"]) is list else (), 1):
+        if type(r) is not dict:
+            return f"rule {number} must be an object, not {_JSON_TYPE.get(type(r), 'a number')}"
+        missing = [key for key in ("family", "lhs", "rhs") if key not in r]
+        if missing:
+            return f"rule {number} has no field {missing[0]!r}"
+    return str(error)
+
+
 def _decode(text: str) -> Presentation:
     # presentation_from_json's load and checks; run in a frame of its own so
     # that the JSON records are freed when it returns, before the pause ends,
@@ -475,7 +501,7 @@ def _decode(text: str) -> Presentation:
         lhs_map = {word(r["lhs"]): word(r["rhs"]) for r in records}
         labels = [r["family"] for r in records]
     except (KeyError, TypeError, IndexError) as e:
-        raise ValueError(f"invalid presentation file: {e}") from None
+        raise ValueError(f"invalid presentation file: {_fault(data, e)}") from None
     pres = Presentation(n, table, coloring, lhs_map)
     if len(lhs_map) != len(labels):
         seen = set()

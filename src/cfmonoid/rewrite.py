@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .presentation import _NO_RULES, EMPTY_WORD, Presentation, Rule, Word, alphabet, format_word
+from .presentation import _NO_RULES, EMPTY_WORD, Presentation, Rule, Word, alphabet, format_word, parse_word
 
 
 def normal_form(w: Word, p: Presentation) -> Word:
@@ -29,7 +29,7 @@ def normal_form(w: Word, p: Presentation) -> Word:
     gets the leftmost strategy's result.
 
     The rules are read through p's index by last two letters, built on the
-    first call and kept, so p.lhs_map must not change after that.  The row
+    first call and kept with p, whose rule map is read-only.  The row
     of the top letter is kept in a local, so a letter c with no entry there
     costs two lookups of one letter: c in that row, then c's own row, which
     becomes the top one.  Only on a hit are the top two letters tried, and
@@ -202,36 +202,22 @@ class _Successors(dict):
         return entry
 
 
-def _check_maxlen(maxlen: int) -> None:
-    if maxlen < 0:
-        raise ValueError(f"maxlen must be non-negative, got {maxlen}")
-
-
 def enumerate_normal_forms(p: Presentation, maxlen: int) -> list:
     """Nonzero normal forms of length <= maxlen, in length-lexicographic order.
 
     Includes the empty word, excludes the zero word; callers that need the
-    zero add it themselves.  A negative maxlen raises ValueError.  Each
-    layer is the last one's words extended by the letters that the successor
-    table gives for their tails; write_normal_forms reads the same table.
+    zero add it themselves.  A negative maxlen raises ValueError.  The words
+    are the lines that write_normal_forms writes, read back with parse_word.
     """
-    _check_maxlen(maxlen)
-    successors = _Successors(p)
-    out = [EMPTY_WORD]
-    layer = [EMPTY_WORD]
-    for _ in range(maxlen):
-        nxt = []
-        for w in layer:
-            nxt.extend(w + t[-1:] for t in successors[w[-2:]][0])
-        out.extend(nxt)
-        layer = nxt
-    return out
+    chunks = []
+    write_normal_forms(p, maxlen, chunks.append)
+    return [parse_word(line, p.n) for line in "".join(chunks).splitlines()]
 
 
 def write_normal_forms(p: Presentation, maxlen: int, write) -> None:
-    """Write enumerate_normal_forms(p, maxlen) as text, one word per line.
+    """Write the nonzero normal forms of length <= maxlen, one format_word per line.
 
-    Each line is format_word of the word, in the same order, but no word is
+    The order is length-lexicographic, the empty word "1" first, but no word is
     built as a tuple: a word is its tail and its text, and a child's line is
     its parent's text plus the child's token.  The walk goes layer by layer
     and keeps only the words shorter than maxlen; all children of one parent
@@ -239,7 +225,8 @@ def write_normal_forms(p: Presentation, maxlen: int, write) -> None:
     memory holds about one layer of text.  A negative maxlen raises
     ValueError before anything is written.
     """
-    _check_maxlen(maxlen)
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be non-negative, got {maxlen}")
     successors = _Successors(p)
     write("1\n")
     layer = [(EMPTY_WORD, "")]

@@ -37,13 +37,15 @@ _TERMINAL = ((EMPTY_WORD, ZERO_WORD), (ZERO_WORD, EMPTY_WORD))
 _SWAP = {"x": "y", "y": "x", "s": "s", "z": "z"}
 _S1 = (("s", 1),)
 _X1 = (("x", 1),)
+# the condition that the mirror image of an x-side move uses
+_MIRRORED = {"C1": "C2", "C3": "C4", "C5": "C6"}
 
 
 @dataclass(frozen=True)
 class WitnessStep:
     pair: tuple  # (left word, right word)
     move: tuple  # ("GEN",) | ("MULL", g) | ("MULR", g) | ("REWRITE", side)
-    note: str = field(default="", compare=False)
+    condition: str | None = field(default=None, compare=False)  # "C1".."C6", the one the move used
 
 
 @dataclass(frozen=True)
@@ -153,43 +155,35 @@ def _end_pair(w: Word):
 
 
 def _x_move(left: Word, right: Word, lx: bool, rx: bool, c: Coloring, m: int):
-    """Right multiplier and note template for a pair with x in one or both sides.
+    """Right multiplier and the condition it uses, for a pair with x in one or both sides.
 
     m is 0 for the pair itself and 1 for its mirror image, whose searches
-    read the fibers of fT and whose notes name C2, C4 and C6 for C1, C3 and
-    C5 and the words' starts for their ends.  The note's {} is the multiplier.
+    read the fibers of fT and so use C2, C4 and C6 in place of C1, C3 and C5.
+    A bare x_i is zeroed by y_i, which uses no condition (None).
     Two sides that both end with a bare x are the pair with s_1 appended,
     which both end x s: they get s_1 followed by that pair's multiplier.
     """
     fiber = _column if m else _row
-    end, x, xs = ("start", "y", "s y") if m else ("end", "x", "x s")
     if lx and rx:
         li, lj = _end_pair(left)
         ri, rj = _end_pair(right)
         if lj is None and rj is None:
-            g, note = _x_move(left + _S1, right + _S1, True, True, c, m)
-            return _S1 + g, note
+            g, condition = _x_move(left + _S1, right + _S1, True, True, c, m)
+            return _S1 + g, condition
         if lj is not None and rj is not None:
             if (li, lj) == (ri, rj):
-                k = _least(c, fiber(c, li, lj))
-                note = f"both {end} {xs}, equal pairs: strip with {{}} (C{1 + m})"
+                k, condition = _least(c, fiber(c, li, lj)), "C1"
             else:
-                k = _least(c, list(map(ne, fiber(c, li, lj), fiber(c, ri, rj))))
-                note = f"both {end} {xs}, distinct pairs: split with {{}} (C{5 + m})"
-            g = (("y", k),)
+                k, condition = _least(c, list(map(ne, fiber(c, li, lj), fiber(c, ri, rj)))), "C5"
         else:
             i, j = (li, lj) if lj is not None else (ri, rj)
-            g = (("y", _least(c, fiber(c, i, j))),)
-            note = f"mixed {end}s: {{}} strips the {xs} side, zeroes the bare {x} (C{1 + m})"
+            k, condition = _least(c, fiber(c, i, j)), "C1"
     else:
         i, j = _end_pair(left if lx else right)
         if j is None:
-            g = (("y", i),)
-            note = f"single {x} side with {x}{i} at its {end}: {{}} zeroes it"
-        else:
-            g = (("y", _least(c, fiber(c, i, j), 0)),)
-            note = f"single {x} side with {xs} at its {end}: {{}} colored 0 zeroes it (C{3 + m})"
-    return g, note
+            return (("y", i),), None
+        k, condition = _least(c, fiber(c, i, j), 0), "C3"
+    return (("y", k),), _MIRRORED[condition] if m else condition
 
 
 def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
@@ -211,7 +205,7 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
     _check_normal(u, p, "left word")
     _check_normal(v, p, "right word")
     c = p.coloring
-    steps = [WitnessStep((u, v), ("GEN",), "generator pair")]
+    steps = [WitnessStep((u, v), ("GEN",))]
     left, right = u, v
     guard = 2 * (len(u) + len(v)) + 8
     for _ in range(guard):
@@ -225,10 +219,10 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
                 " the rules are not the paper's construction for their coloring"
             )
         a = b = EMPTY_WORD  # the multipliers on the left and on the right
+        condition = None
         if left == ZERO_WORD or right == ZERO_WORD:
             # one side is zero: lift the other to the identity by a unit context
             a, b = _unit_context(right if left == ZERO_WORD else left, c)
-            note = "zero side: unit context"
         else:
             lx = any(r == "x" for r, _ in left)
             rx = any(r == "x" for r, _ in right)
@@ -238,23 +232,21 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
                 # both sides are the empty word or a single s-letter
                 a, lx, rx = _X1, True, True
             if (lx and rx) or ((lx or rx) and not (ly and ry)):
-                b, note = _x_move(a + left, a + right, lx, rx, c, 0)
-                note = note.format(format_word(b))
+                b, condition = _x_move(a + left, a + right, lx, rx, c, 0)
             else:
-                g, note = _x_move(_mirror(left), _mirror(right), ly, ry, c, 1)
+                g, condition = _x_move(_mirror(left), _mirror(right), ly, ry, c, 1)
                 a = _mirror(g)
-                note = note.format(format_word(a))
         if a:
             left, right = a + left, a + right
-            steps.append(WitnessStep((left, right), ("MULL", a), note))
+            steps.append(WitnessStep((left, right), ("MULL", a), condition))
         if b:
             left, right = left + b, right + b
-            steps.append(WitnessStep((left, right), ("MULR", b), note))
+            steps.append(WitnessStep((left, right), ("MULR", b), condition))
         nl, nr = normal_form(left, p), normal_form(right, p)
         if nl != left or nr != right:
             side = "both" if (nl != left and nr != right) else ("left" if nl != left else "right")
             left, right = nl, nr
-            steps.append(WitnessStep((left, right), ("REWRITE", side), note))
+            steps.append(WitnessStep((left, right), ("REWRITE", side), condition))
     raise ValueError(
         f"collapse did not reach (1, 0) in {guard} rounds: the rules are not the paper's construction"
     )

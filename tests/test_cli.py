@@ -673,8 +673,13 @@ def test_word_that_is_not_a_list_exits_2(z2_pres, tmp_path, capsys, command, sid
             lambda data: data["rules"][0].update(rhs=[{"a": 1}]),
             "invalid presentation file: unknown token {'a': 1}",
         ),
+        (
+            lambda data: data["rules"].__setitem__(0, 5),
+            "invalid presentation file: rule 1 must be an object, not a number",
+        ),
+        (lambda data: data["rules"][2].pop("lhs"), "invalid presentation file: rule 3 has no field 'lhs'"),
     ],
-    ids=["rules-object", "list-token", "number-token", "object-token"],
+    ids=["rules-object", "list-token", "number-token", "object-token", "number-rule", "rule-without-lhs"],
 )
 def test_rules_or_token_of_the_wrong_json_type_exits_2(z2_pres, tmp_path, capsys, command, edit, error):
     data = json.loads(z2_pres.read_text())

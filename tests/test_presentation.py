@@ -393,6 +393,53 @@ def test_json_bad_token_messages(token, error, side):
     assert str(e.value) == error
 
 
+def _without(key, rule=None):
+    # the file with one field deleted: a top-level one, or one of a rule's,
+    # rules counted from 1
+    def edit(data):
+        del (data if rule is None else data["rules"][rule - 1])[key]
+        return data
+    return edit
+
+
+def _with_rule(rule, record):
+    def edit(data):
+        data["rules"][rule - 1] = record
+        return data
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        # the old messages were Python's own: "list indices must be integers
+        # or slices, not str", "'n'", "'family'", "'int' object is not
+        # subscriptable" and "string indices must be integers"
+        pytest.param(lambda data: [data], "the top level must be an object, not a list", id="top-list"),
+        pytest.param(lambda data: 5, "the top level must be an object, not a number", id="top-number"),
+        pytest.param(lambda data: "z2", "the top level must be an object, not a string", id="top-string"),
+        pytest.param(lambda data: None, "the top level must be an object, not null", id="top-null"),
+        *[
+            pytest.param(_without(key), f"no field {key!r}", id=f"no-{key}")
+            for key in ("n", "table", "coloring", "rules")
+        ],
+        *[
+            pytest.param(_without(key, 7), f"rule 7 has no field {key!r}", id=f"rule-no-{key}")
+            for key in ("family", "lhs", "rhs")
+        ],
+        pytest.param(_with_rule(1, 5), "rule 1 must be an object, not a number", id="rule-number"),
+        pytest.param(_with_rule(7, "s1 s1"), "rule 7 must be an object, not a string", id="rule-string"),
+        pytest.param(_with_rule(7, ["s1", "s1"]), "rule 7 must be an object, not a list", id="rule-list"),
+        pytest.param(_with_rule(7, True), "rule 7 must be an object, not a boolean", id="rule-boolean"),
+    ],
+)
+def test_json_bad_structure_messages(edit, error):
+    data = edit(_json_data(_pres("z2")))
+    with pytest.raises(ValueError) as e:
+        presentation_from_json(json.dumps(data))
+    assert str(e.value) == f"invalid presentation file: {error}"
+
+
 @pytest.mark.parametrize(
     "rules",
     [{}, {"0": {"family": "A", "lhs": ["s1", "s1"], "rhs": ["s1"]}}, "s1 s1", None, 0],

@@ -3,6 +3,8 @@ import random
 import time
 from collections import Counter
 
+import pytest
+
 from cfmonoid import rewrite
 from cfmonoid.coloring import Coloring, build_coloring, check_conditions, conditions_ok
 from cfmonoid.presentation import (
@@ -24,6 +26,7 @@ from cfmonoid.rewrite import (
     normal_form,
 )
 from cfmonoid.semigroup import BUILTIN_NAMES, CayleyTable, builtin
+from cfmonoid.witness import collapse, verify_trace
 
 
 def _pres(name):
@@ -237,6 +240,21 @@ def test_each_presentation_reduces_with_its_own_rules():
     lhs = parse_word("x1 s1 y1", 2)
     flipped = Presentation(z2.n, z2.table, z2.coloring, {**z2.lhs_map, lhs: ZERO_WORD})
     assert [normal_form(lhs, p) for p in (z2, flipped, z2)] == [EMPTY_WORD, ZERO_WORD, EMPTY_WORD]
+
+
+def test_the_rule_map_is_read_only():
+    # the first reduction indexes the rules, so the map may not change under
+    # that index; a changed rule set is a new presentation, built from a copy
+    z2 = _pres("z2")
+    lhs = parse_word("x1 s1 y1", 2)
+    assert normal_form(lhs, z2) == EMPTY_WORD
+    with pytest.raises(TypeError):
+        z2.lhs_map[lhs] = ZERO_WORD
+    with pytest.raises(TypeError):
+        del z2.lhs_map[lhs]
+    changed = Presentation(z2.n, z2.table, z2.coloring, {**z2.lhs_map, lhs: ZERO_WORD})
+    assert normal_form(lhs, changed) == ZERO_WORD
+    assert normal_form(lhs, z2) == EMPTY_WORD and z2.lhs_map[lhs] == EMPTY_WORD
 
 
 def test_index_holds_the_rules_and_leaves_the_value_as_it_was():
@@ -614,6 +632,43 @@ def test_every_n2_coloring_gives_a_complete_system():
             ok, bad, _ = check_local_confluence(p)
             assert ok and bad is None
             assert _first_unjoinable_reference(p) is None
+
+
+def test_collapse_verifies_on_a_sample_of_pairs_in_every_n2_system():
+    # the same 576 systems: 30 seeded pairs of distinct short normal forms
+    # each, the zero word included, collapse by a trace that verifies
+    rng = random.Random(2013)
+    tables = [builtin(name) for name in BUILTIN_NAMES if builtin(name).n == 2]
+    for table in tables:
+        for c in _n2_colorings():
+            p = generate_presentation(table, c)
+            words = enumerate_normal_forms(p, 3) + [ZERO_WORD]
+            for _ in range(30):
+                u, v = rng.sample(words, 2)
+                ok, idx, why = verify_trace(collapse(u, v, p), p)
+                assert ok, (table, c, format_word(u), format_word(v), idx, why)
+
+
+def test_both_n1_colorings_give_a_system_that_embeds_and_collapses():
+    # n=1: of the 16 colorings of shape 2 x 1 x 2, a brute force finds 2
+    # that pass C1..C6; with the trivial table each gives a complete system
+    # where s1 s1 -> s1, and every pair of distinct normal forms of length
+    # <= 3, the zero word included, collapses by a trace that verifies
+    every = [Coloring(1, ((bits[:2],), (bits[2:],))) for bits in itertools.product((0, 1), repeat=4)]
+    colorings = [c for c in every if conditions_ok(check_conditions(c))]
+    assert len(colorings) == 2
+    assert build_coloring(1) in colorings
+    s1 = parse_word("s1", 1)
+    for c in colorings:
+        p = generate_presentation(builtin("trivial"), c)
+        assert check_local_confluence(p)[0] and _first_unjoinable_reference(p) is None
+        assert normal_form(s1 + s1, p) == s1 and is_normal_form(s1, p)
+        words = enumerate_normal_forms(p, 3) + [ZERO_WORD]
+        for u in words:
+            for v in words:
+                if u != v:
+                    ok, idx, why = verify_trace(collapse(u, v, p), p)
+                    assert ok, (c, format_word(u), format_word(v), idx, why)
 
 
 def test_enumerate_is_length_lexicographic():

@@ -189,10 +189,15 @@ def test_collapse_rejects_reducible_input():
         collapse(parse_word("s1 s1", 1), parse_word("s1", 1), p)
 
 
-def test_collapse_steps_have_case_notes():
+def test_collapse_steps_name_their_condition():
+    # x1 vs x2 is split by s1 y_k with f(1, 1, k) != f(2, 1, k) (C5), its
+    # mirror image y1 vs y2 by x_i s1 with f(i, 1, 1) != f(i, 1, 2) (C6); a
+    # zero side is lifted by a unit context, and the generator pair is given,
+    # so those steps name no condition
     p = _pres("trivial")
-    tr = collapse(parse_word("x1", 1), parse_word("x2", 1), p)
-    assert all(s.note for s in tr.steps)
+    for u, v, used in (("x1", "x2", "C5"), ("y1", "y2", "C6"), ("x1", "0", None)):
+        tr = collapse(parse_word(u, 1), parse_word(v, 1), p)
+        assert [s.condition for s in tr.steps] == [None, used, used], (u, v)
 
 
 def test_collapse_sweep_n1():
@@ -289,7 +294,7 @@ def test_trace_format_roundtrip():
     tr = collapse(parse_word("x1 s2", 2), parse_word("y3", 2), p)
     text = format_trace(tr)
     back = parse_trace(text, p)
-    assert back.steps == tr.steps  # notes are ignored in comparisons
+    assert back.steps == tr.steps  # conditions are not compared, and not in the file
     assert format_trace(back) == text
 
 
@@ -404,24 +409,30 @@ def _start_pair_reference(w):
     return idx, w[1][1]
 
 
+def _condition(note):
+    # the condition C1..C6 that a reference note names, or None; no note names two
+    named = re.findall(r"C\d", note)
+    return named[0] if named else None
+
+
 def _collapse_reference(u, v, p):
     if u == v:
         raise ValueError("identical inputs generate no congruence")
     _check_normal(u, p, "left word")
     _check_normal(v, p, "right word")
     f = p.coloring.get
-    steps = [WitnessStep((u, v), ("GEN",), "generator pair")]
+    steps = [WitnessStep((u, v), ("GEN",))]
     left, right = u, v
 
     def multiply_left(g, note):
         nonlocal left, right
         left, right = g + left, g + right
-        steps.append(WitnessStep((left, right), ("MULL", g), note))
+        steps.append(WitnessStep((left, right), ("MULL", g), _condition(note)))
 
     def multiply_right(g, note):
         nonlocal left, right
         left, right = left + g, right + g
-        steps.append(WitnessStep((left, right), ("MULR", g), note))
+        steps.append(WitnessStep((left, right), ("MULR", g), _condition(note)))
 
     def rewrite(note):
         nonlocal left, right
@@ -430,7 +441,7 @@ def _collapse_reference(u, v, p):
             return
         side = "both" if (nl != left and nr != right) else ("left" if nl != left else "right")
         left, right = nl, nr
-        steps.append(WitnessStep((left, right), ("REWRITE", side), note))
+        steps.append(WitnessStep((left, right), ("REWRITE", side), _condition(note)))
 
     guard = 2 * (len(u) + len(v)) + 8
     for _ in range(guard):
@@ -566,13 +577,10 @@ def _cyclic(n):
     return CayleyTable(n, tuple(tuple((i + j) % n + 1 for j in range(n)) for i in range(n)))
 
 
-_conditions = re.compile(r"C\d").findall
-
-
 def _assert_same_as_reference(u, v, p):
-    # the same pairs and moves, and notes naming the same conditions C1..C6
-    got = [(s.pair, s.move, _conditions(s.note)) for s in collapse(u, v, p).steps]
-    want = [(s.pair, s.move, _conditions(s.note)) for s in _collapse_reference(u, v, p).steps]
+    # the same pairs and moves, each with the same condition C1..C6 or none
+    got = [(s.pair, s.move, s.condition) for s in collapse(u, v, p).steps]
+    want = [(s.pair, s.move, s.condition) for s in _collapse_reference(u, v, p).steps]
     assert got == want, (format_word(u), format_word(v))
 
 
