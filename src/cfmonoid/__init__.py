@@ -61,7 +61,6 @@ from .witness import (
     WitnessStep,
     WitnessTrace,
     collapse,
-    decompose,
     format_trace,
     parse_trace,
     unit_context,

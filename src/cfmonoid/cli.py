@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -203,6 +204,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): no error, and a quiet last flush
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 0
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3 if isinstance(e, NotAssociativeError) else 4 if isinstance(e, ColoringConditionError) else 2

@@ -190,9 +190,10 @@ class Presentation:
     """The rewriting system for order n: lhs_map, left side -> right side in rule order, is its rule set.
 
     A table or coloring whose order is not n, a left side not of 2 or 3
-    letters, or a right side longer than 1, raises ValueError.  lhs_map is
-    read-only: a dict is wrapped, not copied, in a MappingProxyType, and a
-    map that is one already is kept as it is.
+    letters, or a right side longer than 1, raises ValueError.  The rules
+    never change: a MappingProxyType is kept as it is (the generator and the
+    loader pass one over a dict that nothing else holds), and any other map
+    is copied into a new dict and wrapped in one.
     """
 
     n: int
@@ -205,14 +206,14 @@ class Presentation:
             raise ValueError(
                 f"order mismatch: n={self.n}, table n={self.table.n}, coloring n={self.coloring.n}"
             )
+        if type(self.lhs_map) is not MappingProxyType:
+            object.__setattr__(self, "lhs_map", MappingProxyType(dict(self.lhs_map)))
         for lhs, rhs in self.lhs_map.items():
             if len(lhs) not in (2, 3) or len(rhs) > 1:
                 raise ValueError(
                     "rule must be length-reducing with a left side of 2 or 3 letters and a right side"
                     f" of at most 1: {format_word(lhs)} -> {format_word(rhs)}"
                 )
-        if type(self.lhs_map) is not MappingProxyType:
-            object.__setattr__(self, "lhs_map", MappingProxyType(self.lhs_map))
 
     @property
     def rules(self) -> tuple:
@@ -291,7 +292,7 @@ def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
             for shape, family in _FAMILY_OF_SHAPE.items()
             for lhs in product(*[of_role[role] for role in shape])
         }
-    return Presentation(table.n, table, coloring, lhs_map)
+    return Presentation(table.n, table, coloring, MappingProxyType(lhs_map))
 
 
 def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
@@ -502,7 +503,7 @@ def _decode(text: str) -> Presentation:
         labels = [r["family"] for r in records]
     except (KeyError, TypeError, IndexError) as e:
         raise ValueError(f"invalid presentation file: {_fault(data, e)}") from None
-    pres = Presentation(n, table, coloring, lhs_map)
+    pres = Presentation(n, table, coloring, MappingProxyType(lhs_map))
     if len(lhs_map) != len(labels):
         seen = set()
         for lhs in (word(r["lhs"]) for r in records):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .presentation import _NO_RULES, EMPTY_WORD, Presentation, Rule, Word, alphabet, format_word, parse_word
 
@@ -139,17 +140,6 @@ def critical_pairs(p: Presentation) -> list:
     return pairs
 
 
-class _NormalForms(dict):
-    # word -> normal_form(word, p), each distinct word reduced on first use
-    def __init__(self, p: Presentation):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, w):
-        nf = self[w] = normal_form(w, self.p)
-        return nf
-
-
 def check_local_confluence(p: Presentation):
     """Join the critical pairs until one fails.
 
@@ -160,8 +150,8 @@ def check_local_confluence(p: Presentation):
     distinct reduct is reduced once, on first use, and looked up after that.
     """
     pairs = critical_pairs(p)
-    nf = _NormalForms(p)
-    first_bad = next((cp for cp in pairs if nf[cp.left_reduct] != nf[cp.right_reduct]), None)
+    nf = cache(partial(normal_form, p=p))
+    first_bad = next((cp for cp in pairs if nf(cp.left_reduct) != nf(cp.right_reduct)), None)
     return first_bad is None, first_bad, pairs
 
 
@@ -208,6 +198,7 @@ def enumerate_normal_forms(p: Presentation, maxlen: int) -> list:
     Includes the empty word, excludes the zero word; callers that need the
     zero add it themselves.  A negative maxlen raises ValueError.  The words
     are the lines that write_normal_forms writes, read back with parse_word.
+    No command calls it; it stays for the tests and the benchmark's tracer.
     """
     chunks = []
     write_normal_forms(p, maxlen, chunks.append)

@@ -70,19 +70,6 @@ def _split(w: Word):
     return w, EMPTY_WORD
 
 
-def decompose(w: Word, p: Presentation):
-    """Split a nonzero normal form as P Q with P x-free and Q empty or x-initial.
-
-    The split point is the first x.  In a normal form no y can follow an x
-    (the factors xy, xsy and ss are left sides of rules), so Q is y-free and
-    the decomposition is unique.
-    """
-    if w == ZERO_WORD:
-        raise ValueError("the zero word has no such decomposition")
-    _check_normal(w, p)
-    return _split(w)
-
-
 # A fiber is the tuple of colors over the last index: the x side reads
 # f(i, j, .), the mirrored y side reads fT(i, j, .) = f(., j, i).
 def _row(c: Coloring, i: int, j: int) -> tuple:
@@ -131,14 +118,14 @@ def _unit_context(w: Word, c: Coloring):
 def unit_context(w: Word, p: Presentation):
     """Words (a, b) with normal_form(a w b) equal to the empty word.
 
-    With w = P Q, the right context peels Q one x at a time: a trailing x_i
-    gets s_1 y_k appended with f(i, 1, k) = 1, a trailing x_i s_j gets y_k
-    with f(i, j, k) = 1.  The left context peels P the same way on its
-    mirror image, with the transposed coloring: a leading y_k gets x_i s_1
-    prepended with f(i, 1, k) = 1, a leading s_j y_k gets x_i with
-    f(i, j, k) = 1.  A trailing lone s_j of P is moved to the head of Q as
-    x_1 s_j, so x_1 is prepended to the left context and the right context
-    ends with the y_k that x_1 s_j gets, f(1, j, k) = 1.
+    With w = P Q split at the first x, the right context peels Q one x at a
+    time: a trailing x_i gets s_1 y_k appended with f(i, 1, k) = 1, a
+    trailing x_i s_j gets y_k with f(i, j, k) = 1.  The left context peels P
+    the same way on its mirror image, with the transposed coloring: a
+    leading y_k gets x_i s_1 prepended with f(i, 1, k) = 1, a leading s_j
+    y_k gets x_i with f(i, j, k) = 1.  A trailing lone s_j of P is moved to
+    the head of Q as x_1 s_j, so x_1 is prepended to the left context and
+    the right context ends with the y_k that x_1 s_j gets, f(1, j, k) = 1.
     """
     if w == ZERO_WORD:
         raise ValueError("the zero word has no unit context")

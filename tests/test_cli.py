@@ -1,10 +1,14 @@
 import contextlib
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +277,22 @@ def test_enumerate(trivial_pres, capsys):
     assert len(lines) == 26
     assert lines[0] == "1"
     assert "s1" in lines and "x2 s1" in lines
+
+
+def test_enumerate_into_a_pipe_closed_early_exits_0(tmp_path):
+    # the reader takes one line and closes the pipe (`| head -1`); t2 at
+    # maxlen 6 is 1.34 M lines, far more than a pipe holds, so the command is
+    # still writing when the pipe closes
+    pres = tmp_path / "t2.json"
+    assert main(["build", "--builtin", "t2", "--out", str(pres)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "cfmonoid.cli", "enumerate", "--pres", str(pres), "--maxlen", "6"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def _reference_enumerate(p, maxlen):

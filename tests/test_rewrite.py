@@ -25,7 +25,7 @@ from cfmonoid.rewrite import (
     is_normal_form,
     normal_form,
 )
-from cfmonoid.semigroup import BUILTIN_NAMES, CayleyTable, builtin
+from cfmonoid.semigroup import BUILTIN_NAMES, CayleyTable, builtin, is_associative
 from cfmonoid.witness import collapse, verify_trace
 
 
@@ -255,6 +255,21 @@ def test_the_rule_map_is_read_only():
     changed = Presentation(z2.n, z2.table, z2.coloring, {**z2.lhs_map, lhs: ZERO_WORD})
     assert normal_form(lhs, changed) == ZERO_WORD
     assert normal_form(lhs, z2) == EMPTY_WORD and z2.lhs_map[lhs] == EMPTY_WORD
+
+
+def test_a_presentation_owns_its_rules():
+    # a caller that keeps the dict it built the presentation from and changes
+    # it after the first reduction changes neither the rules nor the index
+    z2 = _pres("z2")
+    lhs = parse_word("x1 s1 y1", 2)
+    d = dict(z2.lhs_map)
+    p = Presentation(z2.n, z2.table, z2.coloring, d)
+    assert normal_form(lhs, p) == EMPTY_WORD
+    d[lhs] = ZERO_WORD
+    del d[parse_word("s1 s1", 2)]
+    assert p.lhs_map[lhs] == EMPTY_WORD and p.lhs_map == z2.lhs_map
+    assert normal_form(lhs, p) == EMPTY_WORD
+    assert Presentation(z2.n, z2.table, z2.coloring, d).lhs_map[lhs] == ZERO_WORD
 
 
 def test_index_holds_the_rules_and_leaves_the_value_as_it_was():
@@ -669,6 +684,42 @@ def test_both_n1_colorings_give_a_system_that_embeds_and_collapses():
                 if u != v:
                     ok, idx, why = verify_trace(collapse(u, v, p), p)
                     assert ok, (c, format_word(u), format_word(v), idx, why)
+
+
+def _associative_reference(rows):
+    r = range(len(rows))
+    return all(rows[rows[a][b] - 1][c] == rows[a][rows[b][c] - 1] for a in r for b in r for c in r)
+
+
+def test_every_semigroup_of_order_at_most_3_embeds_in_a_complete_system():
+    # all 1 + 16 + 19 683 tables of orders 1..3: the associative ones number
+    # 1, 8 and 113 (OEIS A023814), is_associative agrees with the plain check
+    # on every table, and each of the 122 semigroups with the paper's coloring
+    # gives a complete system where s_i s_j reduces to s_t(i,j) and a seeded
+    # sample of pairs collapses by a trace that verifies
+    rng = random.Random(3)
+    semigroups = []
+    for n in (1, 2, 3):
+        found = 0
+        for entries in itertools.product(range(1, n + 1), repeat=n * n):
+            table = CayleyTable(n, tuple(entries[i * n:i * n + n] for i in range(n)))
+            ok = _associative_reference(table.rows)
+            assert is_associative(table)[0] == ok, table
+            found += ok
+            if ok:
+                semigroups.append(table)
+        assert found == (1, 8, 113)[n - 1]
+    for table in semigroups:
+        n = table.n
+        p = generate_presentation(table, build_coloring(n))
+        assert check_local_confluence(p)[0], table
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
+            assert normal_form((("s", i), ("s", j)), p) == (("s", table.mul(i, j)),), (table, i, j)
+        words = enumerate_normal_forms(p, 3) + [ZERO_WORD]
+        for _ in range(10):
+            u, v = rng.sample(words, 2)
+            ok, idx, why = verify_trace(collapse(u, v, p), p)
+            assert ok, (table, format_word(u), format_word(v), idx, why)
 
 
 def test_enumerate_is_length_lexicographic():

