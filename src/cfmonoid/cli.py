@@ -13,6 +13,7 @@ the module namespace (by a tracer, say) is the one that runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -142,7 +143,10 @@ def cmd_verify_trace(args) -> int:
 
 def cmd_enumerate(args) -> int:
     pres = _load_presentation(args.pres)
-    write_normal_forms(pres, args.maxlen, sys.stdout.write)
+    # a reader that closes stdout early (`| head`) ends the listing without
+    # an error, since it has no verdict to lose; the checks let it through
+    with contextlib.suppress(BrokenPipeError):
+        write_normal_forms(pres, args.maxlen, sys.stdout.write)
     return 0
 
 
@@ -204,15 +208,25 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
-    except BrokenPipeError:
-        # the reader closed stdout (`| head`): no error, and a quiet last flush
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return 0
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3 if isinstance(e, NotAssociativeError) else 4 if isinstance(e, ColoringConditionError) else 2
 
 
+def run() -> int:
+    """main() for the cfmonoid script: output that a closed stdout pipe left unwritten is dropped.
+
+    fd 1 then goes to os.devnull, so the interpreter's last flush is quiet;
+    the exit code is main's.  main() itself leaves stdout as it finds it.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

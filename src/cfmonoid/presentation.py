@@ -22,7 +22,7 @@ from __future__ import annotations
 import gc
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -190,10 +190,12 @@ class Presentation:
     """The rewriting system for order n: lhs_map, left side -> right side in rule order, is its rule set.
 
     A table or coloring whose order is not n, a left side not of 2 or 3
-    letters, or a right side longer than 1, raises ValueError.  The rules
-    never change: a MappingProxyType is kept as it is (the generator and the
-    loader pass one over a dict that nothing else holds), and any other map
-    is copied into a new dict and wrapped in one.
+    letters, or a right side longer than 1, raises ValueError.  Any map but
+    a MappingProxyType is copied into a new dict and wrapped in one.  A proxy
+    is kept as it is and trusted: whoever passes one hands over the dict
+    under it, since the normal-form index is built once, on first use, and
+    never sees a later change to that dict.  The generator and the loader
+    pass one over a dict that nothing else holds.
     """
 
     n: int
@@ -231,23 +233,17 @@ class Presentation:
         in no left side has no row, and an entry that ends no 3-letter left
         side has _NO_RULES as its map.
         """
-        rows = {}
+        rows = defaultdict(dict)
         for lhs, rhs in self.lhs_map.items():
-            if len(lhs) == 2:
-                b, c = lhs
-            else:
-                a, b, c = lhs
-            row = rows.get(b)
-            if row is None:
-                row = rows[b] = {}
+            row, c = rows[lhs[-2]], lhs[-1]
             two, three = row.get(c, (None, _NO_RULES))
             if len(lhs) == 2:
                 row[c] = (rhs, three)
             elif three is _NO_RULES:
-                row[c] = (two, {a: rhs})
+                row[c] = (two, {lhs[0]: rhs})
             else:
-                three[a] = rhs
-        return rows
+                three[lhs[0]] = rhs
+        return dict(rows)
 
 
 def _right_side(family: str, lhs: Word, table: CayleyTable, coloring: Coloring) -> Word:

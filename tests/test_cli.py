@@ -279,20 +279,63 @@ def test_enumerate(trivial_pres, capsys):
     assert "s1" in lines and "x2 s1" in lines
 
 
-def test_enumerate_into_a_pipe_closed_early_exits_0(tmp_path):
-    # the reader takes one line and closes the pipe (`| head -1`); t2 at
-    # maxlen 6 is 1.34 M lines, far more than a pipe holds, so the command is
-    # still writing when the pipe closes
-    pres = tmp_path / "t2.json"
-    assert main(["build", "--builtin", "t2", "--out", str(pres)]) == 0
+def _run_into_a_closed_pipe(argv, buffered, lines_read=0):
+    # the command as its own process, stdout a pipe whose reader takes
+    # lines_read lines and closes it (`| head`); PYTHONUNBUFFERED decides
+    # whether a write fails inside the command or only at the last flush
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    argv = [sys.executable, "-m", "cfmonoid.cli", "enumerate", "--pres", str(pres), "--maxlen", "6"]
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "cfmonoid.cli", *argv]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        assert proc.stdout.readline() == b"1\n"
+        head = [proc.stdout.readline() for _ in range(lines_read)]
         proc.stdout.close()
         err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
-    assert err == b""
+        return proc.wait(timeout=60), head, err
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_enumerate_into_a_pipe_closed_early_exits_0(tmp_path, buffered):
+    # t2 at maxlen 6 is 1.34 M lines, far more than a pipe holds, so the
+    # command is still writing when the pipe closes
+    pres = _built(tmp_path, "t2")
+    argv = ["enumerate", "--pres", str(pres), "--maxlen", "6"]
+    assert _run_into_a_closed_pipe(argv, buffered, lines_read=1) == (0, [b"1\n"], b"")
+
+
+@pytest.mark.parametrize("buffered, code, err", [(True, 1, b""), (False, 2, b"error: [Errno 32] Broken pipe\n")],
+                         ids=["buffered", "unbuffered"])
+def test_a_failing_check_into_a_closed_pipe_does_not_exit_0(z2_pres, tmp_path, buffered, code, err):
+    # buffered, the whole report is written at the last flush, after the
+    # verdict; unbuffered, the first write fails and the command ends with 2
+    data = json.loads(z2_pres.read_text())
+    data["rules"][0]["rhs"] = ["s2"]
+    tampered = tmp_path / "t.json"
+    tampered.write_text(json.dumps(data))
+    assert _run_into_a_closed_pipe(["check-embed", "--pres", str(tampered)], buffered) == (code, [], err)
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_pipe_in_process_leaves_fd_1_and_the_other_commands_alone(z2_pres, tmp_path, capsys, monkeypatch):
+    # only enumerate's own stdout writes are let go; main() redirects no file
+    # descriptor, and a broken pipe anywhere else is an error (exit 2)
+    fd1 = os.fstat(1)
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        assert main(["enumerate", "--pres", str(z2_pres), "--maxlen", "3"]) == 0
+        assert main(["check-embed", "--pres", str(z2_pres)]) == 2
+    assert (os.fstat(1).st_dev, os.fstat(1).st_ino) == (fd1.st_dev, fd1.st_ino)
+
+    def closed(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(Path, "write_text", closed)
+    assert main(["build", "--builtin", "t2", "--out", str(tmp_path / "fifo.json")]) == 2
+    assert capsys.readouterr().err.count("error: [Errno 32] Broken pipe") == 2
 
 
 def _reference_enumerate(p, maxlen):

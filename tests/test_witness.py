@@ -23,6 +23,7 @@ from cfmonoid.witness import (
     WitnessTrace,
     _check_normal,
     _mirror,
+    _split,
     collapse,
     format_trace,
     parse_trace,
@@ -41,14 +42,13 @@ def _pres(name):
 # ------------------------------------------------------------------ decompose
 
 def decompose(w, p):
-    # reference split of a nonzero normal form as P Q with P x-free and Q
-    # empty or x-initial, cut at the first x; the package splits inside
-    # unit_context and exports no such function
+    # the split of a nonzero normal form as P Q with P x-free and Q empty or
+    # x-initial: the package's own _split, which unit_context uses, behind
+    # the zero and normality checks of its callers
     if w == ZERO_WORD:
         raise ValueError("the zero word has no such decomposition")
     _check_normal(w, p)
-    cut = next((t for t, (role, _) in enumerate(w) if role == "x"), len(w))
-    return w[:cut], w[cut:]
+    return _split(w)
 
 
 def test_decompose_examples():
