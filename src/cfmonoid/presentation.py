@@ -250,7 +250,7 @@ def _right_side(family: str, lhs: Word, table: CayleyTable, coloring: Coloring) 
     # the construction's right side for a left side of the given family: the
     # Cayley product for A, the coloring's bit for B, and 0 for the rest
     if family == "A":
-        return (("s", table.mul(lhs[0][1], lhs[1][1])),)
+        return (_letters(table.n)[f"s{table.mul(lhs[0][1], lhs[1][1])}"],)
     if family == "B":
         (_, i), (_, j), (_, k) = lhs
         return _B_RHS[coloring.bits[i - 1][j - 1][k - 1]]
@@ -274,13 +274,14 @@ def _collector_paused():
 def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
     """One rule per left side of each shape, in the order of _FAMILY_OF_SHAPE.
 
-    Each shape's left sides come in lexicographic order, and all left sides
-    share one tuple per letter.  The map is built with the cyclic collector
+    Each shape's left sides come in lexicographic order, and all words share
+    one tuple per letter: the letters of _letters(n), which the loader's
+    decoded words share too.  The map is built with the cyclic collector
     paused: its Θ(n³) new tuples would otherwise set off collections that
     rescan every container built so far.  That is safe because the map and
     its words are acyclic, so reference counting frees whatever is dropped.
     """
-    letters = alphabet(table.n, include_zero=True)
+    letters = _letters(table.n).values()
     of_role = {role: [a for a in letters if a[0] == role] for role in "sxyz"}
     with _collector_paused():
         lhs_map = {
@@ -344,25 +345,46 @@ def presentation_to_json(p: Presentation) -> str:
     of small chunks at once.  The header's int arrays come from a small
     writer of the same layout and each rule from one template; family names
     and tokens are plain identifiers that JSON quotes as they are, and
-    tokens come from the table that format_word uses.
+    tokens come from the table that format_word uses.  presentation_from_json
+    recognises a file by these same pieces, so the layout has one definition.
     """
-    header = (
-        f'{{\n "n": {p.n},\n "table": {_indented_json(p.table.rows, 1)},\n'
-        f' "coloring": {_indented_json(p.coloring.bits, 1)}'
+    parts = [_json_header(p.table, p.coloring)]
+    parts += _json_rules(p.lhs_map)
+    return "".join(parts)
+
+
+def _json_header(table: CayleyTable, coloring: Coloring) -> str:
+    # presentation_to_json's text up to the rules field: n, the table, the
+    # coloring and the separator after them
+    return (
+        f'{{\n "n": {table.n},\n "table": {_indented_json(table.rows, 1)},\n'
+        f' "coloring": {_indented_json(coloring.bits, 1)},\n'
     )
-    if not p.lhs_map:
-        return header + ',\n "rules": []\n}'
 
-    def word(w):
-        if not w:
-            return "[]"
-        return '[\n    "' + '",\n    "'.join(map(_token, w)) + '"\n   ]'
 
-    rules = ",\n".join([
-        f'  {{\n   "family": "{_family(lhs)}",\n   "lhs": {word(lhs)},\n   "rhs": {word(rhs)}\n  }}'
-        for lhs, rhs in p.lhs_map.items()
-    ])
-    return f'{header},\n "rules": [\n{rules}\n ]\n}}'
+def _json_word(w: Word) -> str:
+    # a word as an indented token list at the depth of a rule's fields
+    if not w:
+        return "[]"
+    return '[\n    "' + '",\n    "'.join(map(_token, w)) + '"\n   ]'
+
+
+def _json_rules(lhs_map):
+    # presentation_to_json's text after _json_header, in pieces: one per rule
+    # with the separator before it, then the close.  A map has at most n + 2
+    # distinct right sides (s_k, 1 and 0), so each one's text is made once
+    if not lhs_map:
+        yield ' "rules": []\n}'
+        return
+    rhs_text = {}
+    sep = ' "rules": [\n'
+    for lhs, rhs in lhs_map.items():
+        rhs_json = rhs_text.get(rhs)
+        if rhs_json is None:
+            rhs_json = rhs_text[rhs] = _json_word(rhs)
+        yield f'{sep}  {{\n   "family": "{_family(lhs)}",\n   "lhs": {_json_word(lhs)},\n   "rhs": {rhs_json}\n  }}'
+        sep = ",\n"
+    yield "\n ]\n}"
 
 
 def _int_array(value, shape: tuple, lo: int, hi: int, name: str) -> tuple:
@@ -400,6 +422,21 @@ def _check_rules(lhs_map: dict, labels: list, table: CayleyTable, coloring: Colo
             raise ValueError(f"invalid presentation file: rule {format_word(lhs)} -> {format_word(rhs)} {why}")
 
 
+def _table_and_coloring(data) -> tuple:
+    # the checked table and coloring of a decoded file: n >= 1, the table
+    # n x n with entries in 1..n and the coloring (n+1) x n x (n+1) with
+    # entries 0 or 1 (else ValueError), then _check_table_and_coloring; a
+    # missing field or a value of the wrong JSON type raises KeyError or
+    # TypeError
+    n = data["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"invalid presentation file: n must be a positive integer, got {n!r}")
+    table = CayleyTable(n, _int_array(data["table"], (n, n), 1, n, "table"))
+    coloring = Coloring(n, _int_array(data["coloring"], (n + 1, n, n + 1), 0, 1, "coloring"))
+    _check_table_and_coloring(table, coloring)
+    return table, coloring
+
+
 def _rule_count(n: int) -> int:
     # one rule per left side of each shape: n letters s, n + 1 letters x and
     # y each, and the one letter z
@@ -408,27 +445,42 @@ def _rule_count(n: int) -> int:
 
 
 def presentation_from_json(text: str) -> Presentation:
-    """Load a serialized presentation verbatim; stored rules are not regenerated.
+    """Load a serialized presentation; build's own files are recognised, not decoded.
 
     The file must hold the paper's construction for its table, apart from
-    the A right sides, which check-embed compares with the table.  The
-    checks run in this order, and the first failure raises ValueError:
-    n >= 1, table n x n with entries in 1..n, and coloring (n+1) x n x (n+1)
-    with entries 0 or 1; the table must be associative (NotAssociativeError)
-    and the coloring must pass C1..C6 (ColoringConditionError); rules must
-    be a JSON list, and each rule's lhs and rhs a JSON list of token strings
-    (an object or a string is not a word, and a list is not a token);
-    every rule must be length-reducing with a left side of 2 or 3 letters;
-    no two rules may share a left side, since the records are
-    decoded straight into lhs_map, which holds one rule per left side;
-    every stored family label must be Rule.family, the family of its left
-    side; a rule x_i s_j y_k -> w must have w = 1 where f(i, j, k) = 1 and
-    w = 0 where f(i, j, k) = 0, and every C, Z_left and Z_right rule must
-    rewrite to 0; and there must be a rule for every left side of the five
-    families.
+    the A right sides, which check-embed compares with the table.
+
+    A file that build wrote is recognised.  Only its header, the text before
+    "rules", is decoded and checked, as below; the rules are then generated
+    from the table and coloring, as build does, and their text is compared
+    with the rest of the file, piece by piece.  If the file is exactly that
+    text followed by JSON whitespace alone, the generated presentation is
+    returned, and no rule record is decoded.  Any other file (a tampered
+    rule, another layout of the same JSON, a header that fails a check)
+    falls back to the full decode below, which gives every message.  On top
+    of that decode, such a file costs the header's decode and checks, and,
+    when the header text is build's, one generation and the rules' text up
+    to the first difference.
+
+    The full decode checks in this order, and the first failure raises
+    ValueError: n >= 1, table n x n with entries in 1..n, and coloring
+    (n+1) x n x (n+1) with entries 0 or 1; the table must be associative
+    (NotAssociativeError) and the coloring must pass C1..C6
+    (ColoringConditionError); rules must be a JSON list, and each rule's lhs
+    and rhs a JSON list of token strings (an object or a string is not a
+    word, and a list is not a token); every rule must be length-reducing
+    with a left side of 2 or 3 letters; no two rules may share a left side,
+    since the records are decoded straight into lhs_map, which holds one
+    rule per left side; every stored family label must be Rule.family, the
+    family of its left side; a rule x_i s_j y_k -> w must have w = 1 where
+    f(i, j, k) = 1 and w = 0 where f(i, j, k) = 0, and every C, Z_left and
+    Z_right rule must rewrite to 0; and there must be a rule for every left
+    side of the five families.  Stored rules are kept as they are, so a
+    tampered A rule is loaded for check-embed to find.
     Tokens are decoded by lookup in the token table that parse_word uses,
-    cached per n, so all rules share one tuple per letter; a token missing
-    from it goes through the token parser, which gives the error message.
+    cached per n, so all rules share one tuple per letter, the same tuples
+    as generated rules; a token missing from it goes through the token
+    parser, which gives the error message.
 
     The whole load runs with the cyclic collector paused.  Decoding a large
     file makes about five containers per rule (the JSON record and token
@@ -439,7 +491,29 @@ def presentation_from_json(text: str) -> Presentation:
     is left waiting for the collector.
     """
     with _collector_paused():
-        return _decode(text)
+        p = _recognise(text)
+        return _decode(text) if p is None else p
+
+
+def _recognise(text: str):
+    # the generated presentation if text is presentation_to_json's text for
+    # the table and coloring of its own header, followed by JSON whitespace
+    # only; else None.  Any fault in the header is left for _decode to name
+    try:
+        data = json.loads(text[: text.index('"rules"')] + '"rules": null}')
+        table, coloring = _table_and_coloring(data)
+    except (ValueError, LookupError, TypeError, RecursionError):
+        return None
+    header = _json_header(table, coloring)
+    if not text.startswith(header):
+        return None
+    p = _generate_unchecked(table, coloring)
+    end = len(header)
+    for part in _json_rules(p.lhs_map):
+        if not text.startswith(part, end):
+            return None
+        end += len(part)
+    return None if text[end:].strip(" \t\n\r") else p
 
 
 # the JSON names of the decoded types but an object and a number, for messages
@@ -476,12 +550,8 @@ def _decode(text: str) -> Presentation:
         # RecursionError: arrays or objects nested too deeply to decode
         raise ValueError(f"invalid presentation JSON: {e}") from None
     try:
-        n = data["n"]
-        if type(n) is not int or n < 1:
-            raise ValueError(f"invalid presentation file: n must be a positive integer, got {n!r}")
-        table = CayleyTable(n, _int_array(data["table"], (n, n), 1, n, "table"))
-        coloring = Coloring(n, _int_array(data["coloring"], (n + 1, n, n + 1), 0, 1, "coloring"))
-        _check_table_and_coloring(table, coloring)
+        table, coloring = _table_and_coloring(data)
+        n = table.n
         letter = _letters(n).__getitem__
 
         def word(tokens):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cfmonoid import presentation
 from cfmonoid.coloring import Coloring, build_coloring, coloring_entry
 from cfmonoid.presentation import (
     EMPTY_WORD,
@@ -15,9 +16,12 @@ from cfmonoid.presentation import (
     WordSyntaxError,
     ZERO_LETTER,
     ZERO_WORD,
+    _collector_paused,
+    _decode,
     _generate_unchecked,
     _indented_json,
     _parse_token,
+    _recognise,
     _token,
     alphabet,
     format_word,
@@ -315,7 +319,7 @@ def test_json_deterministic():
 
 
 def test_json_keeps_tampered_rules():
-    # stored rules are loaded verbatim, never regenerated from the table
+    # a tampered rule is loaded as stored, not regenerated from the table
     p = _pres("leftzero2")
     data = json.loads(presentation_to_json(p))
     assert data["rules"][0] == {"family": "A", "lhs": ["s1", "s1"], "rhs": ["s1"]}
@@ -583,6 +587,139 @@ def test_json_rejects_a_word_that_is_not_a_list(side, word):
     with pytest.raises(ValueError) as e:
         presentation_from_json(json.dumps(data))
     assert str(e.value) == f"invalid presentation file: a word must be a list of tokens, got {word!r}"
+
+
+# ------------------------------------------------- the recognising load path
+
+def _base(name):
+    # the presentation of a builtin, or of the cyclic group for "Z_<n>"
+    if name.startswith("Z_"):
+        n = int(name[2:])
+        return generate_presentation(_cyclic(n), build_coloring(n))
+    return _pres(name)
+
+
+def _build_file(name):
+    # the text that build writes
+    return presentation_to_json(_base(name)) + "\n"
+
+
+def _edited(edit):
+    # a mutation that edits the decoded file and writes it back in build's
+    # layout, so that everything but the edit is build's text
+    def mutate(text):
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data, indent=1) + "\n"
+    return mutate
+
+
+def _first_rule(data, family):
+    return next(r for r in data["rules"] if r["family"] == family)
+
+
+def _set(family, key, value):
+    # the first rule of the family with one field replaced by value(old field)
+    def edit(data):
+        rule = _first_rule(data, family)
+        rule[key] = value(rule[key])
+    return _edited(edit)
+
+
+def _swap_first_two(data):
+    rules = data["rules"]
+    rules[0], rules[1] = rules[1], rules[0]
+
+
+def _non_associative_table(data):
+    # t(i, j) = j + 1 mod n: (ab)c = c + 1 but a(bc) = c + 2
+    n = data["n"]
+    data["table"] = [[j % n + 1 for j in range(1, n + 1)] for _ in range(n)]
+
+
+def _failing_coloring(data):
+    # f(1, 1, k) = 0 for every k, which fails C1 and C2
+    data["coloring"][0][0] = [0] * (data["n"] + 1)
+
+
+def _next_n(data):
+    data["n"] += 1
+
+
+def _nested_table(text):
+    data = json.loads(text)
+    data["table"] = "nested"
+    return json.dumps(data, indent=1).replace('"nested"', "[" * 100_000 + "]" * 100_000)
+
+
+_MUTATIONS = {
+    "A-rhs-changed": _set("A", "rhs", lambda rhs: ["s2"] if rhs != ["s2"] else ["s1"]),
+    "B-rhs-flipped": _set("B", "rhs", lambda rhs: [] if rhs else ["0"]),
+    "C-rhs-changed": _set("C", "rhs", lambda rhs: []),
+    "rule-deleted": _edited(lambda data: data["rules"].pop(3)),
+    "rule-duplicated": _edited(lambda data: data["rules"].insert(3, data["rules"][3])),
+    "rules-swapped": _edited(_swap_first_two),
+    "family-label-changed": _set("C", "family", lambda family: "A"),
+    "compact": lambda text: json.dumps(json.loads(text)),
+    "keys-reordered": lambda text: json.dumps(dict(reversed(json.loads(text).items())), indent=1) + "\n",
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "leading-space": lambda text: " " + text,
+    "bom": lambda text: "\ufeff" + text,
+    "trailing-vertical-tab": lambda text: text + "\x0b",
+    "trailing-no-break-space": lambda text: text + "\xa0\n",
+    "trailing-x": lambda text: text + "x",
+    "truncated": lambda text: text[: len(text) // 2],
+    "non-associative": _edited(_non_associative_table),
+    "coloring-fails": _edited(_failing_coloring),
+    "n-changed": _edited(_next_n),
+    "nested-100000-deep": _nested_table,
+}
+
+
+def _outcome(load, text):
+    # the loaded presentation, or the type and message of what the load raised
+    try:
+        return load(text)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _full_decode(text):
+    with _collector_paused():
+        return _decode(text)
+
+
+@pytest.mark.parametrize("mutation", _MUTATIONS)
+@pytest.mark.parametrize("name", ["z2", "t2", "Z_8"])
+def test_a_file_that_is_not_builds_own_loads_as_the_full_decode_loads_it(name, mutation):
+    # every change to build's text misses the recognising path and leaves the
+    # result, or the exception's type and message, to the full decode
+    text = _MUTATIONS[mutation](_build_file(name))
+    assert _recognise(text) is None
+    assert _outcome(presentation_from_json, text) == _outcome(_full_decode, text)
+
+
+@pytest.mark.parametrize("trailer", ["", "\n", " \t\r\n\n"], ids=["none", "newline", "json-whitespace"])
+@pytest.mark.parametrize("name", ["trivial", "z2", "t2", "Z_8"])
+def test_builds_own_file_is_recognised_as_the_presentation_the_full_decode_gives(name, trailer):
+    text = presentation_to_json(_base(name)) + trailer
+    recognised = _recognise(text)
+    assert recognised is not None
+    assert recognised == _full_decode(text) == _base(name)
+    assert presentation_from_json(text) == recognised
+
+
+def test_the_recognising_load_calls_neither_public_generator_nor_writer(monkeypatch):
+    # a tracer wraps those two names, so a load through them would count a
+    # generation and a file's bytes that no build made
+    text = _build_file("Z_8")
+
+    def forbidden(*args):
+        raise AssertionError("called from the load")
+
+    monkeypatch.setattr(presentation, "generate_presentation", forbidden)
+    monkeypatch.setattr(presentation, "presentation_to_json", forbidden)
+    assert presentation_from_json(text) == _base("Z_8")
 
 
 @pytest.fixture

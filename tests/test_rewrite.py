@@ -722,6 +722,79 @@ def test_every_semigroup_of_order_at_most_3_embeds_in_a_complete_system():
             assert ok, (table, format_word(u), format_word(v), idx, why)
 
 
+def _semigroups(n):
+    # every associative n x n table, rows of entries in 1..n, found by
+    # backtracking over the cells in row-major order: a partial table is cut
+    # off as soon as one triple whose four products are all filled fails
+    # associativity, so order 4 takes thousands of nodes, not 4^16 tables
+    t = [[None] * n for _ in range(n)]
+    r = range(n)
+    cells = [(a, b) for a in r for b in r]
+    found = []
+
+    def consistent():
+        for x, y in cells:
+            xy = t[x][y]
+            if xy is None:
+                continue
+            for z in r:
+                yz = t[y][z]
+                if yz is None:
+                    continue
+                left, right = t[xy][z], t[x][yz]
+                if left is not None and right is not None and left != right:
+                    return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
+            found.append(tuple(tuple(v + 1 for v in row) for row in t))
+            return
+        a, b = cells[k]
+        for v in r:
+            t[a][b] = v
+            if consistent():
+                fill(k + 1)
+        t[a][b] = None
+
+    fill(0)
+    return found
+
+
+def _relabelled(rows, pi):
+    # the table of the same semigroup with element i renamed pi[i - 1]
+    n = len(rows)
+    back = {pi[i]: i for i in range(n)}
+    return tuple(tuple(pi[rows[back[i]][back[j]] - 1] for j in range(1, n + 1)) for i in range(1, n + 1))
+
+
+def test_every_semigroup_of_order_4_up_to_isomorphism_embeds_in_a_complete_system():
+    # the backtracking enumerator finds the 1, 8 and 113 tables that the
+    # scan above finds at orders 1..3, and 3492 at order 4 (OEIS A023814);
+    # the relabellings of each table are among them, and the 24 relabellings
+    # split them into 188 classes (A027851).  One table per class, with the
+    # paper's coloring, gives a complete system where s_i s_j reduces to
+    # s_t(i,j)
+    assert [len(_semigroups(n)) for n in (1, 2, 3)] == [1, 8, 113]
+    tables = _semigroups(4)
+    assert len(tables) == len(set(tables)) == 3492
+    classes = []
+    seen = set()
+    for rows in tables:
+        if rows not in seen:
+            classes.append(rows)
+            seen.update(_relabelled(rows, pi) for pi in itertools.permutations(range(1, 5)))
+    assert seen == set(tables)
+    assert len(classes) == 188
+    coloring = build_coloring(4)
+    for rows in classes:
+        table = CayleyTable(4, rows)
+        p = generate_presentation(table, coloring)
+        assert check_local_confluence(p)[0], table
+        for i, j in itertools.product(range(1, 5), repeat=2):
+            assert normal_form((("s", i), ("s", j)), p) == (("s", table.mul(i, j)),), (table, i, j)
+
+
 def test_enumerate_is_length_lexicographic():
     p = _pres("z2")
     words = enumerate_normal_forms(p, 3)
