@@ -190,12 +190,8 @@ class Presentation:
     """The rewriting system for order n: lhs_map, left side -> right side in rule order, is its rule set.
 
     A table or coloring whose order is not n, a left side not of 2 or 3
-    letters, or a right side longer than 1, raises ValueError.  Any map but
-    a MappingProxyType is copied into a new dict and wrapped in one.  A proxy
-    is kept as it is and trusted: whoever passes one hands over the dict
-    under it, since the normal-form index is built once, on first use, and
-    never sees a later change to that dict.  The generator and the loader
-    pass one over a dict that nothing else holds.
+    letters, or a right side longer than 1, raises ValueError.  The map it
+    is given is copied, so no caller holds the dict under lhs_map.
     """
 
     n: int
@@ -208,8 +204,7 @@ class Presentation:
             raise ValueError(
                 f"order mismatch: n={self.n}, table n={self.table.n}, coloring n={self.coloring.n}"
             )
-        if type(self.lhs_map) is not MappingProxyType:
-            object.__setattr__(self, "lhs_map", MappingProxyType(dict(self.lhs_map)))
+        object.__setattr__(self, "lhs_map", MappingProxyType(dict(self.lhs_map)))
         for lhs, rhs in self.lhs_map.items():
             if len(lhs) not in (2, 3) or len(rhs) > 1:
                 raise ValueError(
@@ -276,20 +271,16 @@ def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
 
     Each shape's left sides come in lexicographic order, and all words share
     one tuple per letter: the letters of _letters(n), which the loader's
-    decoded words share too.  The map is built with the cyclic collector
-    paused: its Θ(n³) new tuples would otherwise set off collections that
-    rescan every container built so far.  That is safe because the map and
-    its words are acyclic, so reference counting frees whatever is dropped.
+    decoded words share too.
     """
     letters = _letters(table.n).values()
     of_role = {role: [a for a in letters if a[0] == role] for role in "sxyz"}
-    with _collector_paused():
-        lhs_map = {
-            lhs: _right_side(family, lhs, table, coloring)
-            for shape, family in _FAMILY_OF_SHAPE.items()
-            for lhs in product(*[of_role[role] for role in shape])
-        }
-    return Presentation(table.n, table, coloring, MappingProxyType(lhs_map))
+    lhs_map = {
+        lhs: _right_side(family, lhs, table, coloring)
+        for shape, family in _FAMILY_OF_SHAPE.items()
+        for lhs in product(*[of_role[role] for role in shape])
+    }
+    return Presentation(table.n, table, coloring, lhs_map)
 
 
 def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
@@ -423,24 +414,22 @@ def _check_rules(lhs_map: dict, labels: list, table: CayleyTable, coloring: Colo
 
 
 def _table_and_coloring(data) -> tuple:
-    # the checked table and coloring of a decoded file: n >= 1, the table
-    # n x n with entries in 1..n and the coloring (n+1) x n x (n+1) with
-    # entries 0 or 1 (else ValueError), then _check_table_and_coloring; a
-    # missing field or a value of the wrong JSON type raises KeyError or
-    # TypeError
+    # the table and coloring of a decoded file, before
+    # _check_table_and_coloring: n >= 1, the table n x n with entries in
+    # 1..n and the coloring (n+1) x n x (n+1) with entries 0 or 1 (else
+    # ValueError); a missing field or a value of the wrong JSON type raises
+    # KeyError or TypeError
     n = data["n"]
     if type(n) is not int or n < 1:
         raise ValueError(f"invalid presentation file: n must be a positive integer, got {n!r}")
     table = CayleyTable(n, _int_array(data["table"], (n, n), 1, n, "table"))
     coloring = Coloring(n, _int_array(data["coloring"], (n + 1, n, n + 1), 0, 1, "coloring"))
-    _check_table_and_coloring(table, coloring)
     return table, coloring
 
 
 def _rule_count(n: int) -> int:
-    # one rule per left side of each shape: n letters s, n + 1 letters x and
-    # y each, and the one letter z
-    letters = {"s": n, "x": n + 1, "y": n + 1, "z": 1}
+    # one rule per left side of each shape, from the letters of each role
+    letters = Counter(role for role, _ in _letters(n).values())
     return sum(math.prod(letters[role] for role in shape) for shape in _FAMILY_OF_SHAPE)
 
 
@@ -450,17 +439,15 @@ def presentation_from_json(text: str) -> Presentation:
     The file must hold the paper's construction for its table, apart from
     the A right sides, which check-embed compares with the table.
 
-    A file that build wrote is recognised.  Only its header, the text before
-    "rules", is decoded and checked, as below; the rules are then generated
-    from the table and coloring, as build does, and their text is compared
-    with the rest of the file, piece by piece.  If the file is exactly that
-    text followed by JSON whitespace alone, the generated presentation is
-    returned, and no rule record is decoded.  Any other file (a tampered
-    rule, another layout of the same JSON, a header that fails a check)
-    falls back to the full decode below, which gives every message.  On top
-    of that decode, such a file costs the header's decode and checks, and,
-    when the header text is build's, one generation and the rules' text up
-    to the first difference.
+    A file that build wrote is recognised: only its header, the text before
+    "rules", is decoded; if that text is build's header for its table and
+    coloring and they pass the checks below, the rules are generated as
+    build does and their text is compared with the rest of the file.  A
+    file that is exactly that text followed by JSON whitespace alone loads
+    as the generated presentation, and no rule record is decoded.  Any
+    other file falls back to the full decode below, which gives every
+    message; one whose header text was build's has then also paid for one
+    generation and the rules' text up to the first difference.
 
     The full decode checks in this order, and the first failure raises
     ValueError: n >= 1, table n x n with entries in 1..n, and coloring
@@ -482,23 +469,25 @@ def presentation_from_json(text: str) -> Presentation:
     as generated rules; a token missing from it goes through the token
     parser, which gives the error message.
 
-    The whole load runs with the cyclic collector paused.  Decoding a large
-    file makes about five containers per rule (the JSON record and token
-    lists, then the word tuples), and each batch of new containers would
-    otherwise set off a collection that rescans the ones already made: at
-    n=48 that was a third of the load.  Pausing is safe because all of this
-    data is acyclic: reference counting frees what is dropped, so nothing
-    is left waiting for the collector.
+    The full decode runs with the cyclic collector paused: it makes about
+    five containers per rule (the JSON record and token lists, then the
+    word tuples), and each batch would otherwise set off a collection that
+    rescans the ones already made.  All of this data is acyclic, so
+    reference counting frees what is dropped.
     """
+    p = _recognise(text)
+    if p is not None:
+        return p
     with _collector_paused():
-        p = _recognise(text)
-        return _decode(text) if p is None else p
+        return _decode(text)
 
 
 def _recognise(text: str):
     # the generated presentation if text is presentation_to_json's text for
     # the table and coloring of its own header, followed by JSON whitespace
-    # only; else None.  Any fault in the header is left for _decode to name
+    # only; else None.  Any fault in the header is left for _decode to name,
+    # and the header's text is compared before its checks run, so a file in
+    # another layout pays for them once, in _decode
     try:
         data = json.loads(text[: text.index('"rules"')] + '"rules": null}')
         table, coloring = _table_and_coloring(data)
@@ -506,6 +495,10 @@ def _recognise(text: str):
         return None
     header = _json_header(table, coloring)
     if not text.startswith(header):
+        return None
+    try:
+        _check_table_and_coloring(table, coloring)
+    except ValueError:
         return None
     p = _generate_unchecked(table, coloring)
     end = len(header)
@@ -551,6 +544,7 @@ def _decode(text: str) -> Presentation:
         raise ValueError(f"invalid presentation JSON: {e}") from None
     try:
         table, coloring = _table_and_coloring(data)
+        _check_table_and_coloring(table, coloring)
         n = table.n
         letter = _letters(n).__getitem__
 
@@ -569,7 +563,7 @@ def _decode(text: str) -> Presentation:
         labels = [r["family"] for r in records]
     except (KeyError, TypeError, IndexError) as e:
         raise ValueError(f"invalid presentation file: {_fault(data, e)}") from None
-    pres = Presentation(n, table, coloring, MappingProxyType(lhs_map))
+    pres = Presentation(n, table, coloring, lhs_map)
     if len(lhs_map) != len(labels):
         seen = set()
         for lhs in (word(r["lhs"]) for r in records):

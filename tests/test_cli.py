@@ -127,10 +127,28 @@ def test_check_complete_tampered_exits_1(z2_pres, tmp_path, capsys):
     rule["rhs"] = ["s2"]
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(data))
+    capsys.readouterr()
     rc = main(["check-complete", "--pres", str(tampered)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "NOT CONFLUENT" in captured.out
+    # the census by family pair, then the first failing pair in the order
+    # the pairs are made
+    assert captured.out == (
+        "critical pairs: 159\n"
+        "  A-A: 8\n"
+        "  A-Z_right: 4\n"
+        "  B-Z_right: 18\n"
+        "  C-Z_right: 9\n"
+        "  Z_left-A: 4\n"
+        "  Z_left-B: 18\n"
+        "  Z_left-C: 9\n"
+        "  Z_left-Z_right: 8\n"
+        "  Z_right-Z_left: 72\n"
+        "  Z_right-Z_right: 9\n"
+        "NOT CONFLUENT at overlap s1 s1 s2\n"
+        "  left reduct  s2 s2 -> s1\n"
+        "  right reduct s1 s2 -> s2\n"
+    )
 
 
 def test_check_f_built(tmp_path, capsys):

@@ -772,27 +772,46 @@ def test_every_semigroup_of_order_4_up_to_isomorphism_embeds_in_a_complete_syste
     # the backtracking enumerator finds the 1, 8 and 113 tables that the
     # scan above finds at orders 1..3, and 3492 at order 4 (OEIS A023814);
     # the relabellings of each table are among them, and the 24 relabellings
-    # split them into 188 classes (A027851).  One table per class, with the
-    # paper's coloring, gives a complete system where s_i s_j reduces to
-    # s_t(i,j)
+    # split them into 188 classes (A027851), which the transposes (the
+    # anti-isomorphic tables) join into 126 (A001423).  One table per class,
+    # with the paper's coloring, gives a complete system where s_i s_j
+    # reduces to s_t(i,j) and a seeded sample of pairs collapses by a trace
+    # that verifies
     assert [len(_semigroups(n)) for n in (1, 2, 3)] == [1, 8, 113]
     tables = _semigroups(4)
     assert len(tables) == len(set(tables)) == 3492
+    relabellings = list(itertools.permutations(range(1, 5)))
     classes = []
     seen = set()
     for rows in tables:
         if rows not in seen:
             classes.append(rows)
-            seen.update(_relabelled(rows, pi) for pi in itertools.permutations(range(1, 5)))
+            seen.update(_relabelled(rows, pi) for pi in relabellings)
     assert seen == set(tables)
     assert len(classes) == 188
+    anti_classes = 0
+    seen = set()
+    for rows in classes:
+        if rows not in seen:
+            anti_classes += 1
+            seen.update(_relabelled(r, pi) for r in (rows, tuple(zip(*rows))) for pi in relabellings)
+    assert seen == set(tables)
+    assert anti_classes == 126
     coloring = build_coloring(4)
+    rng = random.Random(4)
+    words = None
     for rows in classes:
         table = CayleyTable(4, rows)
         p = generate_presentation(table, coloring)
         assert check_local_confluence(p)[0], table
         for i, j in itertools.product(range(1, 5), repeat=2):
             assert normal_form((("s", i), ("s", j)), p) == (("s", table.mul(i, j)),), (table, i, j)
+        # the left sides, and so the normal forms, are those of every table of order 4
+        words = words or enumerate_normal_forms(p, 3) + [ZERO_WORD]
+        for _ in range(10):
+            u, v = rng.sample(words, 2)
+            ok, idx, why = verify_trace(collapse(u, v, p), p)
+            assert ok, (table, format_word(u), format_word(v), idx, why)
 
 
 def test_enumerate_is_length_lexicographic():
