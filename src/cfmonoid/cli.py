@@ -31,7 +31,6 @@ from .presentation import (
     ColoringConditionError,
     NotAssociativeError,
     RULE_FAMILIES,
-    _family,
     format_word,
     generate_presentation,
     parse_word,
@@ -71,8 +70,7 @@ def cmd_nf(args) -> int:
 def cmd_check_complete(args) -> int:
     pres = _load_presentation(args.pres)
     ok, bad, pairs = check_local_confluence(pres)
-    family = {lhs: _family(lhs) for lhs in pres.lhs_map}
-    combos = Counter((family[cp.rule_left.lhs], family[cp.rule_right.lhs]) for cp in pairs)
+    combos = Counter((cp.rule_left.family, cp.rule_right.family) for cp in pairs)
     print(f"critical pairs: {len(pairs)}")
     for (f1, f2), count in sorted(combos.items()):
         print(f"  {f1}-{f2}: {count}")

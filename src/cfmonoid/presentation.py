@@ -19,11 +19,9 @@ which the generator and the loader's check both read:
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 from collections import Counter, defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -252,20 +250,6 @@ def _right_side(family: str, lhs: Word, table: CayleyTable, coloring: Coloring) 
     return ZERO_WORD
 
 
-@contextmanager
-def _collector_paused():
-    # no automatic cyclic collection inside the block; on exit the collector
-    # is enabled again only if it was enabled on entry, so a nested pause or
-    # a caller that had disabled it keeps its state
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
     """One rule per left side of each shape, in the order of _FAMILY_OF_SHAPE.
 
@@ -468,18 +452,11 @@ def presentation_from_json(text: str) -> Presentation:
     cached per n, so all rules share one tuple per letter, the same tuples
     as generated rules; a token missing from it goes through the token
     parser, which gives the error message.
-
-    The full decode runs with the cyclic collector paused: it makes about
-    five containers per rule (the JSON record and token lists, then the
-    word tuples), and each batch would otherwise set off a collection that
-    rescans the ones already made.  All of this data is acyclic, so
-    reference counting frees what is dropped.
     """
     p = _recognise(text)
     if p is not None:
         return p
-    with _collector_paused():
-        return _decode(text)
+    return _decode(text)
 
 
 def _recognise(text: str):
@@ -534,9 +511,7 @@ def _fault(data, error: Exception) -> str:
 
 
 def _decode(text: str) -> Presentation:
-    # presentation_from_json's load and checks; run in a frame of its own so
-    # that the JSON records are freed when it returns, before the pause ends,
-    # and the one collection that follows the pause scans only the rules kept
+    # presentation_from_json's full decode and checks
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:

@@ -64,13 +64,21 @@ def normal_form(w: Word, p: Presentation) -> Word:
     return tuple(out)
 
 
-def is_normal_form(w: Word, p: Presentation) -> bool:
-    """True iff no rule left-hand side occurs as a factor of w.
+@cache
+def _letter_set(n: int) -> frozenset:
+    # the letters of alphabet(n, include_zero=True), built once per n
+    return frozenset(alphabet(n, include_zero=True))
 
-    Every rule shortens the word, so w is irreducible iff it is its own
-    normal form.
+
+def is_normal_form(w: Word, p: Presentation) -> bool:
+    """True iff w is a word over p's letters and no rule left-hand side occurs as a factor of w.
+
+    p's letters are alphabet(p.n, include_zero=True); normal_form passes a
+    letter outside them through unchanged, so they are checked first.  Every
+    rule shortens the word, so a word over them is irreducible iff it is its
+    own normal form.
     """
-    return normal_form(w, p) == w
+    return _letter_set(p.n).issuperset(w) and normal_form(w, p) == w
 
 
 @dataclass(frozen=True)

@@ -242,10 +242,10 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
 def verify_trace(trace: WitnessTrace, p: Presentation):
     """Independent check of a witness trace.
 
-    Uses only literal concatenation and normal_form.  Accepts iff step 0 is a
-    generator pair of two distinct normal forms, every later step follows from
-    its predecessor by its declared move, and the final pair is (1, 0) or
-    (0, 1).  Returns (ok, bad_step_index, reason).
+    Uses only literal concatenation, normal_form and is_normal_form.  Accepts
+    iff step 0 is a generator pair of two distinct normal forms, every later
+    step follows from its predecessor by its declared move, and the final
+    pair is (1, 0) or (0, 1).  Returns (ok, bad_step_index, reason).
     """
     steps = trace.steps
     if not steps:
@@ -256,7 +256,7 @@ def verify_trace(trace: WitnessTrace, p: Presentation):
     u, v = first.pair
     if u == v:
         return False, 0, "generator words are equal"
-    if normal_form(u, p) != u or normal_form(v, p) != v:
+    if not (is_normal_form(u, p) and is_normal_form(v, p)):
         return False, 0, "generator words are not normal forms"
     prev_left, prev_right = first.pair
     for idx in range(1, len(steps)):

@@ -17,7 +17,6 @@ from cfmonoid.presentation import (
     WordSyntaxError,
     ZERO_LETTER,
     ZERO_WORD,
-    _collector_paused,
     _decode,
     _indented_json,
     _parse_token,
@@ -703,11 +702,6 @@ def _outcome(load, text):
         return type(e), str(e)
 
 
-def _full_decode(text):
-    with _collector_paused():
-        return _decode(text)
-
-
 @pytest.mark.parametrize("mutation", _MUTATIONS)
 @pytest.mark.parametrize("name", ["z2", "t2", "Z_8"])
 def test_a_file_that_is_not_builds_own_loads_as_the_full_decode_loads_it(name, mutation):
@@ -715,7 +709,7 @@ def test_a_file_that_is_not_builds_own_loads_as_the_full_decode_loads_it(name, m
     # result, or the exception's type and message, to the full decode
     text = _MUTATIONS[mutation](_build_file(name))
     assert _recognise(text) is None
-    assert _outcome(presentation_from_json, text) == _outcome(_full_decode, text)
+    assert _outcome(presentation_from_json, text) == _outcome(_decode, text)
 
 
 @pytest.mark.parametrize("trailer", ["", "\n", " \t\r\n\n"], ids=["none", "newline", "json-whitespace"])
@@ -724,7 +718,7 @@ def test_builds_own_file_is_recognised_as_the_presentation_the_full_decode_gives
     text = presentation_to_json(_base(name)) + trailer
     recognised = _recognise(text)
     assert recognised is not None
-    assert recognised == _full_decode(text) == _base(name)
+    assert recognised == _decode(text) == _base(name)
     assert presentation_from_json(text) == recognised
 
 
@@ -815,23 +809,35 @@ def test_build_leaves_the_collector_as_it_found_it(collector, enabled, table, co
     assert gc.isenabled() is enabled
 
 
-def test_the_full_decode_runs_no_cyclic_collection_of_its_own(collector):
-    # at n=16 (5270 rules), with the collector running, decoding a compact
-    # JSON file, which the load does not recognise, set off 36 collections;
-    # paused, only the one collection of what the decode made is left, on the
-    # first allocation after the pause ends.  The load starts from an
-    # explicit collection, which zeroes the count that sets off the next one
-    gc.enable()
-    text = json.dumps(json.loads(_build_file("Z_16")))
-    starts = []
-    record = lambda phase, info: phase == "start" and starts.append(info["generation"])
-    gc.collect()
-    gc.callbacks.append(record)
-    try:
-        presentation_from_json(text)
-    finally:
-        gc.callbacks.remove(record)
-    assert len(starts) <= 1
+def test_no_load_or_rule_generation_calls_the_collector(monkeypatch):
+    # the library keeps no process-wide state: neither a load, recognised or
+    # falling back to the full decode, nor rule generation calls gc.disable,
+    # gc.enable or gc.isenabled
+    build = _build_file("Z_16")
+    compact = _MUTATIONS["compact"](build)
+    tampered = _MUTATIONS["A-rhs-changed"](build)
+    table, coloring = _cyclic(16), build_coloring(16)
+    runs = {
+        "recognised load": lambda: presentation_from_json(build),
+        "compact-JSON load": lambda: presentation_from_json(compact),
+        "tampered-A load": lambda: presentation_from_json(tampered),
+        "generation": lambda: generate_presentation(table, coloring),
+    }
+    calls = []
+
+    def recording(name, real):
+        def call():
+            calls.append(name)
+            return real()
+        return call
+
+    for name in ("disable", "enable", "isenabled"):
+        monkeypatch.setattr(gc, name, recording(name, getattr(gc, name)))
+    made = {}
+    for run, call in runs.items():
+        call()
+        made[run], calls[:] = calls[:], []
+    assert made == dict.fromkeys(runs, [])
 
 
 def test_lhs_map_matches_rules():

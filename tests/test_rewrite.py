@@ -93,6 +93,19 @@ def test_is_normal_form_examples():
     assert not is_normal_form(parse_word("0 0", 1), p)
 
 
+@pytest.mark.parametrize(
+    "letter", [("q", 1), ("s", 99), ("s", 3), ("x", 4), ("y", 0), ("z", 1)], ids=lambda a: f"{a[0]}{a[1]}"
+)
+def test_is_normal_form_rejects_a_letter_outside_the_alphabet(letter):
+    # z2's letters are s1..s2, x1..x3, y1..y3 and 0; normal_form passes any
+    # other letter through unchanged, alone or next to letters of z2
+    p = _pres("z2")
+    for w in [(letter,), (("x", 1), letter), (letter, ("s", 1))]:
+        assert normal_form(w, p) == w
+        assert not is_normal_form(w, p), format_word(w)
+    assert is_normal_form((("x", 3), ("s", 2)), p)
+
+
 def test_factor_characterization():
     # normal forms are the zero word alone, plus the z-free words avoiding
     # the factors ss, xy and xsy

@@ -113,6 +113,23 @@ def test_unit_context_rejects_zero_and_reducible():
         unit_context(parse_word("s1 s1", 1), p)
 
 
+@pytest.mark.parametrize("letter", [("x", 99), ("q", 1)], ids=lambda a: f"{a[0]}{a[1]}")
+def test_unit_context_rejects_a_letter_outside_the_alphabet(letter):
+    with pytest.raises(ValueError, match=f"word is not a normal form: {format_word((letter,))}$"):
+        unit_context((letter,), _pres("z2"))
+
+
+def test_collapse_rejects_a_letter_outside_the_alphabet():
+    with pytest.raises(ValueError, match="left word is not a normal form: s99$"):
+        collapse((("s", 99),), EMPTY_WORD, _pres("z2"))
+
+
+@pytest.mark.parametrize("letter", [("s", 99), ("q", 1)], ids=lambda a: f"{a[0]}{a[1]}")
+def test_verify_rejects_a_generator_letter_outside_the_alphabet(letter):
+    trace = WitnessTrace((WitnessStep(((letter,), EMPTY_WORD), ("GEN",)),))
+    assert verify_trace(trace, _pres("z2")) == (False, 0, "generator words are not normal forms")
+
+
 def test_unit_context_reaches_identity():
     for name in ("trivial", "z2"):
         p = _pres(name)
