@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/verified, 1 verification failure, 2 syntax or input
 error, 3 non-associative table, 4 coloring condition failure.  Reports go to
-stdout, diagnostics to stderr.
+stdout, diagnostics to stderr.  main loads the file that --pres names before
+the command runs, and the command finds the Presentation in args.pres.
 
 main(argv) may be called any number of times in one process.  The parser is
 built on the first call and reused; it holds no command functions, and main
@@ -43,10 +44,6 @@ from .semigroup import BUILTIN_NAMES, builtin, parse_cayley
 from .witness import collapse, format_trace, parse_trace, verify_trace
 
 
-def _load_presentation(path):
-    return presentation_from_json(Path(path).read_text())
-
-
 def cmd_build(args) -> int:
     if args.builtin:
         table = builtin(args.builtin)
@@ -61,14 +58,14 @@ def cmd_build(args) -> int:
 
 
 def cmd_nf(args) -> int:
-    pres = _load_presentation(args.pres)
+    pres = args.pres
     word = parse_word(args.word, pres.n)
     print(format_word(normal_form(word, pres)))
     return 0
 
 
 def cmd_check_complete(args) -> int:
-    pres = _load_presentation(args.pres)
+    pres = args.pres
     ok, bad, pairs = check_local_confluence(pres)
     combos = Counter((cp.rule_left.family, cp.rule_right.family) for cp in pairs)
     print(f"critical pairs: {len(pairs)}")
@@ -94,7 +91,7 @@ def cmd_check_f(args) -> int:
 
 
 def cmd_check_embed(args) -> int:
-    pres = _load_presentation(args.pres)
+    pres = args.pres
     n = pres.n
     bad = []
     for i in range(1, n + 1):
@@ -114,7 +111,7 @@ def cmd_check_embed(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    pres = _load_presentation(args.pres)
+    pres = args.pres
     u = parse_word(args.left, pres.n)
     v = parse_word(args.right, pres.n)
     trace = collapse(u, v, pres)
@@ -129,7 +126,7 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_verify_trace(args) -> int:
-    pres = _load_presentation(args.pres)
+    pres = args.pres
     trace = parse_trace(Path(args.trace).read_text(), pres)
     ok, idx, reason = verify_trace(trace, pres)
     if ok:
@@ -140,11 +137,10 @@ def cmd_verify_trace(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    pres = _load_presentation(args.pres)
     # a reader that closes stdout early (`| head`) ends the listing without
     # an error, since it has no verdict to lose; the checks let it through
     with contextlib.suppress(BrokenPipeError):
-        write_normal_forms(pres, args.maxlen, sys.stdout.write)
+        write_normal_forms(args.pres, args.maxlen, sys.stdout.write)
     return 0
 
 
@@ -165,6 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finitely presented congruence-free monoids from finite semigroups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pres = argparse.ArgumentParser(add_help=False)
+    pres.add_argument("--pres", required=True, help="presentation file (JSON)")
 
     p = sub.add_parser("build", help="generate a presentation from a Cayley table")
     src = p.add_mutually_exclusive_group(required=True)
@@ -172,31 +170,25 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--builtin", choices=BUILTIN_NAMES, help="builtin semigroup name")
     p.add_argument("--out", required=True, help="output presentation file (JSON)")
 
-    p = sub.add_parser("nf", help="normal form of a word")
-    p.add_argument("--pres", required=True, help="presentation file")
+    p = sub.add_parser("nf", parents=[pres], help="normal form of a word")
     p.add_argument("word", help="word in word syntax, e.g. 'x1 s2 y1'")
 
-    p = sub.add_parser("check-complete", help="critical-pair confluence report")
-    p.add_argument("--pres", required=True)
+    sub.add_parser("check-complete", parents=[pres], help="critical-pair confluence report")
 
     p = sub.add_parser("check-f", help="check the six conditions on a coloring file")
     p.add_argument("coloring", help="coloring file in slice-per-block format")
 
-    p = sub.add_parser("check-embed", help="verify the semigroup embeds via its generators")
-    p.add_argument("--pres", required=True)
+    sub.add_parser("check-embed", parents=[pres], help="verify the semigroup embeds via its generators")
 
-    p = sub.add_parser("collapse", help="derive (1, 0) from a pair of distinct normal forms")
-    p.add_argument("--pres", required=True)
+    p = sub.add_parser("collapse", parents=[pres], help="derive (1, 0) from a pair of distinct normal forms")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--out", help="trace output file (default: stdout)")
 
-    p = sub.add_parser("verify-trace", help="independently verify a trace file")
-    p.add_argument("--pres", required=True)
+    p = sub.add_parser("verify-trace", parents=[pres], help="independently verify a trace file")
     p.add_argument("trace", help="trace file")
 
-    p = sub.add_parser("enumerate", help="list nonzero normal forms up to a length")
-    p.add_argument("--pres", required=True)
+    p = sub.add_parser("enumerate", parents=[pres], help="list nonzero normal forms up to a length")
     p.add_argument("--maxlen", type=_maxlen, required=True)
 
     return parser
@@ -205,6 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "pres" in args:
+            args.pres = presentation_from_json(Path(args.pres).read_text())
         return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

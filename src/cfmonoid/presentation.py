@@ -425,13 +425,14 @@ def presentation_from_json(text: str) -> Presentation:
 
     A file that build wrote is recognised: only its header, the text before
     "rules", is decoded; if that text is build's header for its table and
-    coloring and they pass the checks below, the rules are generated as
-    build does and their text is compared with the rest of the file.  A
-    file that is exactly that text followed by JSON whitespace alone loads
-    as the generated presentation, and no rule record is decoded.  Any
+    coloring, the rules are generated as build does and their text is
+    compared with the rest of the file.  A file that is exactly that text
+    followed by JSON whitespace alone has its table and coloring checked and
+    loads as the generated presentation; no rule record is decoded.  Any
     other file falls back to the full decode below, which gives every
-    message; one whose header text was build's has then also paid for one
-    generation and the rules' text up to the first difference.
+    message and runs the checks; one whose header text was build's has then
+    also paid for one generation and the rules' text up to the first
+    difference.
 
     The full decode checks in this order, and the first failure raises
     ValueError: n >= 1, table n x n with entries in 1..n, and coloring
@@ -462,9 +463,10 @@ def presentation_from_json(text: str) -> Presentation:
 def _recognise(text: str):
     # the generated presentation if text is presentation_to_json's text for
     # the table and coloring of its own header, followed by JSON whitespace
-    # only; else None.  Any fault in the header is left for _decode to name,
-    # and the header's text is compared before its checks run, so a file in
-    # another layout pays for them once, in _decode
+    # only; else None.  A header fault is left for _decode to name.  Generation
+    # reads only range-checked entries, so the table and coloring checks wait
+    # until the whole text matched and then raise what _decode would: every
+    # file pays for them once
     try:
         data = json.loads(text[: text.index('"rules"')] + '"rules": null}')
         table, coloring = _table_and_coloring(data)
@@ -473,17 +475,16 @@ def _recognise(text: str):
     header = _json_header(table, coloring)
     if not text.startswith(header):
         return None
-    try:
-        _check_table_and_coloring(table, coloring)
-    except ValueError:
-        return None
     p = _generate_unchecked(table, coloring)
     end = len(header)
     for part in _json_rules(p.lhs_map):
         if not text.startswith(part, end):
             return None
         end += len(part)
-    return None if text[end:].strip(" \t\n\r") else p
+    if text[end:].strip(" \t\n\r"):
+        return None
+    _check_table_and_coloring(table, coloring)
+    return p
 
 
 # the JSON names of the decoded types but an object and a number, for messages
@@ -538,7 +539,10 @@ def _decode(text: str) -> Presentation:
         labels = [r["family"] for r in records]
     except (KeyError, TypeError, IndexError) as e:
         raise ValueError(f"invalid presentation file: {_fault(data, e)}") from None
-    pres = Presentation(n, table, coloring, lhs_map)
+    try:
+        pres = Presentation(n, table, coloring, lhs_map)
+    except ValueError as e:
+        raise ValueError(f"invalid presentation file: {e}") from None
     if len(lhs_map) != len(labels):
         seen = set()
         for lhs in (word(r["lhs"]) for r in records):

@@ -157,12 +157,10 @@ def _x_move(left: Word, right: Word, lx: bool, rx: bool, c: Coloring, m: int):
         if lj is None and rj is None:
             g, condition = _x_move(left + _S1, right + _S1, True, True, c, m)
             return _S1 + g, condition
-        if lj is not None and rj is not None:
-            if (li, lj) == (ri, rj):
-                k, condition = _least(c, fiber(c, li, lj)), "C1"
-            else:
-                k, condition = _least(c, list(map(ne, fiber(c, li, lj), fiber(c, ri, rj)))), "C5"
+        if lj is not None and rj is not None and (li, lj) != (ri, rj):
+            k, condition = _least(c, list(map(ne, fiber(c, li, lj), fiber(c, ri, rj)))), "C5"
         else:
+            # equal ends, or one side's x s end: C1 on that end
             i, j = (li, lj) if lj is not None else (ri, rj)
             k, condition = _least(c, fiber(c, i, j)), "C1"
     else:

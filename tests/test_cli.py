@@ -489,7 +489,7 @@ def test_main_dispatches_by_name_at_each_call(z2_pres, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_check_embed", replacement)
     assert main(argv) == 7
-    assert seen == [str(z2_pres)]
+    assert seen == [presentation_from_json(z2_pres.read_text())]
     assert capsys.readouterr().out == ""
 
 
@@ -531,7 +531,7 @@ def test_rule_outside_the_engine_shapes_exits_2(z2_pres, tmp_path, capsys, lhs, 
     rc = main([command[0], "--pres", str(bad), *command[1:]])
     captured = capsys.readouterr()
     assert rc == 2
-    assert "length-reducing" in captured.err
+    assert captured.err.startswith("error: invalid presentation file: rule must be length-reducing")
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
@@ -554,7 +554,26 @@ def test_collapse_on_coloring_failing_c1_exits_4(z2_pres, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
+# every command that reads a presentation, as argv with "bad.json" for the
+# presentation file and "t.trace" for a trace file
+_PRES_COMMANDS = [
+    ["nf", "--pres", "bad.json", "s1"],
+    ["check-complete", "--pres", "bad.json"],
+    ["check-embed", "--pres", "bad.json"],
+    ["collapse", "--pres", "bad.json", "x1", "x2"],
+    ["verify-trace", "--pres", "bad.json", "t.trace"],
+    ["enumerate", "--pres", "bad.json", "--maxlen", "2"],
+]
+
+
+def _run_on(tmp_path, command):
+    # main on argv with the file names made paths under tmp_path; the trace
+    # file is a valid generator step, so a load fault is the first fault
+    (tmp_path / "t.trace").write_text("0\tGEN\tx1\tx2\n")
+    return main([str(tmp_path / arg) if arg in ("bad.json", "t.trace") else arg for arg in command])
+
+
+@pytest.mark.parametrize("command", _PRES_COMMANDS, ids=lambda argv: argv[0])
 def test_file_with_a_non_associative_table_exits_3(z2_pres, tmp_path, capsys, command):
     # A rules that match the stored table do not make it associative
     data = json.loads(z2_pres.read_text())
@@ -563,17 +582,16 @@ def test_file_with_a_non_associative_table_exits_3(z2_pres, tmp_path, capsys, co
         if r["family"] == "A":
             i, j = (int(t[1:]) for t in r["lhs"])
             r["rhs"] = [f"s{data['table'][i - 1][j - 1]}"]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    (tmp_path / "bad.json").write_text(json.dumps(data))
     capsys.readouterr()
-    rc = main([command, "--pres", str(bad)])
+    rc = _run_on(tmp_path, command)
     captured = capsys.readouterr()
     assert rc == 3
     assert "not associative at triple (1, 1, 2)" in captured.err
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
+@pytest.mark.parametrize("command", _PRES_COMMANDS, ids=lambda argv: argv[0])
 def test_file_with_a_coloring_failing_c1_exits_4(z2_pres, tmp_path, capsys, command):
     # B rules that match the stored coloring do not make it pass C1..C6
     data = json.loads(z2_pres.read_text())
@@ -581,10 +599,9 @@ def test_file_with_a_coloring_failing_c1_exits_4(z2_pres, tmp_path, capsys, comm
     for r in data["rules"]:
         if r["family"] == "B" and r["lhs"][:2] == ["x1", "s1"]:
             r["rhs"] = ["0"]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    (tmp_path / "bad.json").write_text(json.dumps(data))
     capsys.readouterr()
-    rc = main([command, "--pres", str(bad)])
+    rc = _run_on(tmp_path, command)
     captured = capsys.readouterr()
     assert rc == 4
     assert captured.err.startswith("error: coloring fails C1")
@@ -793,23 +810,10 @@ def test_collapse_on_a_z_rule_that_does_not_rewrite_to_0_exits_2(z2_pres, tmp_pa
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["nf", "--pres", "deep.json", "s1"],
-        ["check-complete", "--pres", "deep.json"],
-        ["check-embed", "--pres", "deep.json"],
-        ["collapse", "--pres", "deep.json", "x1", "x2", "--out", "t.trace"],
-        ["verify-trace", "--pres", "deep.json", "t.trace"],
-        ["enumerate", "--pres", "deep.json", "--maxlen", "2"],
-    ],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("command", _PRES_COMMANDS, ids=lambda argv: argv[0])
 def test_json_nested_too_deeply_to_decode_exits_2(tmp_path, capsys, command):
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100_000 + "]" * 100_000)
-    (tmp_path / "t.trace").write_text("0\tGEN\tx1\tx2\n")
-    rc = main([str(tmp_path / arg) if arg in ("deep.json", "t.trace") else arg for arg in command])
+    (tmp_path / "bad.json").write_text("[" * 100_000 + "]" * 100_000)
+    rc = _run_on(tmp_path, command)
     captured = capsys.readouterr()
     assert rc == 2
     assert "invalid presentation JSON" in captured.err

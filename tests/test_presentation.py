@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+from collections import Counter
 from types import MappingProxyType
 
 import pytest
@@ -18,6 +19,7 @@ from cfmonoid.presentation import (
     ZERO_LETTER,
     ZERO_WORD,
     _decode,
+    _generate_unchecked,
     _indented_json,
     _parse_token,
     _recognise,
@@ -733,6 +735,51 @@ def test_the_recognising_load_calls_neither_public_generator_nor_writer(monkeypa
     monkeypatch.setattr(presentation, "generate_presentation", forbidden)
     monkeypatch.setattr(presentation, "presentation_to_json", forbidden)
     assert presentation_from_json(text) == _base("Z_8")
+
+
+def _built_from_a_non_associative_table(text):
+    # build's text for t2's coloring and a non-associative table, rules and all
+    p = _base("t2")
+    data = json.loads(text)
+    _non_associative_table(data)
+    table = CayleyTable(p.n, tuple(map(tuple, data["table"])))
+    return presentation_to_json(_generate_unchecked(table, p.coloring))
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda text: text, None),
+        (_MUTATIONS["compact"], None),
+        (_MUTATIONS["A-rhs-changed"], None),
+        (_MUTATIONS["non-associative"], NotAssociativeError),
+        (_built_from_a_non_associative_table, NotAssociativeError),
+    ],
+    ids=["build", "compact", "A-rhs-changed", "non-associative", "rules-regenerated-from-a-non-associative-table"],
+)
+def test_every_load_checks_the_table_and_coloring_once(monkeypatch, edit, error):
+    # a file in build's layout runs the checks after its rules matched, or,
+    # when it falls back, in the full decode only, not also on the way there
+    text = edit(_build_file("t2"))
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(presentation, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("is_associative", "check_conditions"):
+        monkeypatch.setattr(presentation, name, counted(name))
+    if error is None:
+        presentation_from_json(text)
+        assert calls == {"is_associative": 1, "check_conditions": 1}
+    else:
+        with pytest.raises(error):
+            presentation_from_json(text)
+        assert calls == {"is_associative": 1}
 
 
 @pytest.fixture
