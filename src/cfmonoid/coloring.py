@@ -9,6 +9,7 @@ congruence-free, for arbitrary candidate colorings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6")
 
@@ -60,7 +61,7 @@ def build_coloring(n: int) -> Coloring:
         for _ in range(size - 1):
             col = _shift(col)
             cols.append(col)
-        slices.append(tuple(tuple(cols[k][i] for k in range(size)) for i in range(size)))
+        slices.append(tuple(zip(*cols)))  # the columns transposed into rows
     return _from_slices(slices)
 
 
@@ -89,18 +90,21 @@ def check_conditions(c: Coloring) -> dict:
       C5/C6: a 4-tuple (i, j, p, q) of two index pairs with equal fibers.
 
     The y-fiber of (i, j) is f(i, j, 1..n+1) and the x-fiber of (i, j) is
-    f(1..n+1, i, j).  C5/C6 are found by hashing: one pass maps each fiber to
-    the first index pair that has it, and the first clash is the least
-    (first, second) member pair over the classes of equal fibers.  With
-    D = n(n+1) index pairs that is O(D) lookups, O(n^3) with building the
-    fibers, instead of comparing all D^2 pairs.
+    f(1..n+1, i, j).  Both are taken from the bits without Python code per
+    bit: the y-fibers are the bits' rows, and the x-fibers of s-index i are
+    the columns of the planes' rows for i, transposed by zip.  C5/C6 are
+    found by hashing: one pass maps each fiber to the first index pair that
+    has it, and the first clash is the least (first, second) member pair
+    over the classes of equal fibers.  With D = n(n+1) index pairs that is
+    O(D) lookups, O(n^3) with building the fibers, instead of comparing all
+    D^2 pairs.
     """
     n = c.n
     size = n + 1
     xy_domain = [(i, j) for i in range(1, size + 1) for j in range(1, n + 1)]
     sy_domain = [(i, j) for i in range(1, n + 1) for j in range(1, size + 1)]
-    y_fibers = [c.bits[i - 1][j - 1] for i, j in xy_domain]
-    x_fibers = [tuple(plane[i - 1][j - 1] for plane in c.bits) for i, j in sy_domain]
+    y_fibers = list(chain.from_iterable(c.bits))
+    x_fibers = list(chain.from_iterable(zip(*rows) for rows in zip(*c.bits)))
 
     def first_missing(fibers, domain, want):
         for fiber, pair in zip(fibers, domain):
@@ -164,9 +168,9 @@ def parse_coloring(text: str) -> Coloring:
         if current is None:
             raise ColoringParseError("bit row before any slice header", lineno)
         parts = line.split()
-        if any(p not in ("0", "1") for p in parts):
+        if not set(parts) <= {"0", "1"}:
             raise ColoringParseError(f"bits must be 0 or 1: {line!r}", lineno)
-        current.append(tuple(int(p) for p in parts))
+        current.append(tuple(map(int, parts)))
     if not slices:
         raise ColoringParseError("no slices found")
     n = len(slices)

@@ -24,7 +24,8 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import groupby, islice, product
+from operator import itemgetter
 from types import MappingProxyType
 
 from .coloring import Coloring, check_conditions, conditions_ok
@@ -202,8 +203,13 @@ class Presentation:
             raise ValueError(
                 f"order mismatch: n={self.n}, table n={self.table.n}, coloring n={self.coloring.n}"
             )
-        object.__setattr__(self, "lhs_map", MappingProxyType(dict(self.lhs_map)))
-        for lhs, rhs in self.lhs_map.items():
+        lhs_map = MappingProxyType(dict(self.lhs_map))
+        object.__setattr__(self, "lhs_map", lhs_map)
+        # the lengths of all rules are checked at once; the walk below only
+        # names the first bad rule
+        if set(map(len, lhs_map)) <= {2, 3} and set(map(len, lhs_map.values())) <= {0, 1}:
+            return
+        for lhs, rhs in lhs_map.items():
             if len(lhs) not in (2, 3) or len(rhs) > 1:
                 raise ValueError(
                     "rule must be length-reducing with a left side of 2 or 3 letters and a right side"
@@ -239,31 +245,38 @@ class Presentation:
         return dict(rows)
 
 
-def _right_side(family: str, lhs: Word, table: CayleyTable, coloring: Coloring) -> Word:
-    # the construction's right side for a left side of the given family: the
-    # Cayley product for A, the coloring's bit for B, and 0 for the rest
+def _right_side(family: str, head: Word, table: CayleyTable, coloring: Coloring) -> list:
+    # the construction's right sides of one block of a family's left sides:
+    # head followed by each letter of the last letter's role, in index order.
+    # For A (head s_i) the products s_t(i, k) from the table's row, for B
+    # (head x_i s_j) the coloring's bits f(i, j, k) through _B_RHS, and 0 for
+    # the rest; the list may be longer than the block
     if family == "A":
-        return (_letters(table.n)[f"s{table.mul(lhs[0][1], lhs[1][1])}"],)
+        letters = _letters(table.n)
+        return [(letters[f"s{k}"],) for k in table.rows[head[0][1] - 1]]
     if family == "B":
-        (_, i), (_, j), (_, k) = lhs
-        return _B_RHS[coloring.bits[i - 1][j - 1][k - 1]]
-    return ZERO_WORD
+        (_, i), (_, j) = head
+        return list(map(_B_RHS.__getitem__, coloring.bits[i - 1][j - 1]))
+    return [ZERO_WORD] * (table.n + 1)
 
 
 def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
     """One rule per left side of each shape, in the order of _FAMILY_OF_SHAPE.
 
-    Each shape's left sides come in lexicographic order, and all words share
+    Each shape's left sides come in lexicographic order, one block per
+    head (all letters but the last): the block's left sides are the head
+    followed by each letter of the last role, zipped with _right_side's
+    list for that head, so no Python code runs per rule.  All words share
     one tuple per letter: the letters of _letters(n), which the loader's
     decoded words share too.
     """
     letters = _letters(table.n).values()
     of_role = {role: [a for a in letters if a[0] == role] for role in "sxyz"}
-    lhs_map = {
-        lhs: _right_side(family, lhs, table, coloring)
-        for shape, family in _FAMILY_OF_SHAPE.items()
-        for lhs in product(*[of_role[role] for role in shape])
-    }
+    lhs_map = {}
+    for shape, family in _FAMILY_OF_SHAPE.items():
+        lasts = [(a,) for a in of_role[shape[-1]]]
+        for head in product(*[of_role[role] for role in shape[:-1]]):
+            lhs_map.update(zip(map(head.__add__, lasts), _right_side(family, head, table, coloring)))
     return Presentation(table.n, table, coloring, lhs_map)
 
 
@@ -294,8 +307,37 @@ def generate_presentation(table: CayleyTable, coloring: Coloring) -> Presentatio
 
 
 def rule_counts(p: Presentation) -> Counter:
-    """Rules by Rule.family (None for a left side of no family); a family with no rule counts 0."""
-    return Counter(map(_family, p.lhs_map))
+    """Rules by family (None for a left side of no family); a family with no rule counts 0.
+
+    The family is read once per run of _runs, and each run adds its length.
+    """
+    counts = Counter()
+    for family, _, lhss, _ in _runs(p.lhs_map):
+        counts[family] += len(lhss)
+    return counts
+
+
+_HEAD = itemgetter(slice(-1))
+_LAST = itemgetter(-1)
+_ROLE = itemgetter(0)
+
+
+def _runs(lhs_map):
+    # lhs_map cut into runs: maximal stretches of consecutive rules whose
+    # left sides share all letters but the last, and the role of the last,
+    # so that a run has one family.  Yields (family, head, left sides, right
+    # sides) per run, in map order; the map may be in any order, and a run
+    # may hold one rule.  The rules are grouped by head, then by the last
+    # letter's role, with C-level iterators, so Python code runs per run,
+    # not per rule
+    rhss = iter(lhs_map.values())
+    for head, group in groupby(lhs_map, _HEAD):
+        block = list(group)
+        lhss = iter(block)
+        for _, roles in groupby(map(_ROLE, map(_LAST, block))):
+            size = len(list(roles))
+            run = list(islice(lhss, size))
+            yield _family(run[0]), head, run, list(islice(rhss, size))
 
 
 def _indented_json(value, depth: int) -> str:
@@ -318,10 +360,14 @@ def presentation_to_json(p: Presentation) -> str:
     CPython falls back to its pure-Python encoder, which is slow on the
     (n+1) n (n+1) coloring bits and on as many B rules, and holds millions
     of small chunks at once.  The header's int arrays come from a small
-    writer of the same layout and each rule from one template; family names
-    and tokens are plain identifiers that JSON quotes as they are, and
-    tokens come from the table that format_word uses.  presentation_from_json
-    recognises a file by these same pieces, so the layout has one definition.
+    writer of the same layout, and the rules are written run by run (_runs):
+    the text that a run's rules share, up to the last token of the left
+    side, is made once and joined over the run's tails, each the last token
+    and the right side's text.  Family names and tokens are plain
+    identifiers that JSON quotes as they are, a left side of no family is
+    labelled null, and tokens come from the table that format_word uses.
+    presentation_from_json recognises a file by these same pieces, so the
+    layout has one definition.
     """
     parts = [_json_header(p.table, p.coloring)]
     parts += _json_rules(p.lhs_map)
@@ -345,19 +391,22 @@ def _json_word(w: Word) -> str:
 
 
 def _json_rules(lhs_map):
-    # presentation_to_json's text after _json_header, in pieces: one per rule
-    # with the separator before it, then the close.  A map has at most n + 2
-    # distinct right sides (s_k, 1 and 0), so each one's text is made once
+    # presentation_to_json's text after _json_header, in pieces: one per run
+    # of _runs with the separator before it, then the close.  A rule's text
+    # is its run's head text, the token of its last letter and the text of
+    # its right side, which is made once per distinct right side
     if not lhs_map:
         yield ' "rules": []\n}'
         return
-    rhs_text = {}
+    rhs_text = {rhs: f'"\n   ],\n   "rhs": {_json_word(rhs)}\n  }}' for rhs in set(lhs_map.values())}
     sep = ' "rules": [\n'
-    for lhs, rhs in lhs_map.items():
-        rhs_json = rhs_text.get(rhs)
-        if rhs_json is None:
-            rhs_json = rhs_text[rhs] = _json_word(rhs)
-        yield f'{sep}  {{\n   "family": "{_family(lhs)}",\n   "lhs": {_json_word(lhs)},\n   "rhs": {rhs_json}\n  }}'
+    for family, head, lhss, rhss in _runs(lhs_map):
+        label = "null" if family is None else f'"{family}"'
+        head_text = f'  {{\n   "family": {label},\n   "lhs": [\n    "' + "".join(
+            f'{_token(a)}",\n    "' for a in head
+        )
+        tails = map(str.__add__, map(_token, map(_LAST, lhss)), map(rhs_text.__getitem__, rhss))
+        yield sep + head_text + (",\n" + head_text).join(tails)
         sep = ",\n"
     yield "\n ]\n}"
 
@@ -379,7 +428,11 @@ def _check_rules(lhs_map: dict, labels: list, table: CayleyTable, coloring: Colo
     # a stored label must be the family its left side gives (a null label
     # on a left side of no family included), so a census by family counts
     # what the rules are; every right side but A's must be the construction's,
-    # which check-embed compares with the table for A
+    # which check-embed compares with the table for A.  A rule's right side
+    # is looked up in _right_side's list for its family and head, made once
+    # per head whatever the order of the rules, at the index of its last
+    # letter; z, of index 0, reads the list's last entry, 0
+    blocks = {}
     for (lhs, rhs), label in zip(lhs_map.items(), labels):
         family = _family(lhs)
         if family != label or family is None:
@@ -388,7 +441,13 @@ def _check_rules(lhs_map: dict, labels: list, table: CayleyTable, coloring: Colo
                 f"invalid presentation file: rule {format_word(lhs)} -> {format_word(rhs)}"
                 f" is labelled {label} but its left side gives {gives}"
             )
-        if family != "A" and rhs != _right_side(family, lhs, table, coloring):
+        if family == "A":
+            continue
+        head = lhs[:-1]
+        want = blocks.get((family, head))
+        if want is None:
+            want = blocks[family, head] = _right_side(family, head, table, coloring)
+        if rhs != want[lhs[-1][1] - 1]:
             if family == "B":
                 (_, i), (_, j), (_, k) = lhs
                 why = f"disagrees with the coloring, which has f({i}, {j}, {k}) = {coloring.get(i, j, k)}"
@@ -431,8 +490,8 @@ def presentation_from_json(text: str) -> Presentation:
     loads as the generated presentation; no rule record is decoded.  Any
     other file falls back to the full decode below, which gives every
     message and runs the checks; one whose header text was build's has then
-    also paid for one generation and the rules' text up to the first
-    difference.
+    also paid for one generation and the rules' text up to the first run
+    (of _runs) that differs.
 
     The full decode checks in this order, and the first failure raises
     ValueError: n >= 1, table n x n with entries in 1..n, and coloring

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class CayleyParseError(ValueError):
@@ -84,19 +85,25 @@ def is_associative(t: CayleyTable):
     """Exhaustive check over all n^3 triples.
 
     Returns (True, None), or (False, (i, j, k)) with the lexicographically
-    first triple where (s_i s_j) s_k differs from s_i (s_j s_k).
+    first triple where (s_i s_j) s_k differs from s_i (s_j s_k).  For each
+    (i, j) the whole row k = 1..n of both products is compared at once, and
+    k is searched for only in a row that differs.
     """
-    n = t.n
+    if t.n == 1:
+        # the one table of order 1 is associative; the getters below would
+        # give a bare entry there, not a row
+        return True, None
     rows = t.rows
-    for i in range(1, n + 1):
-        row_i = rows[i - 1]
-        for j in range(1, n + 1):
-            ij = row_i[j - 1]
-            row_ij = rows[ij - 1]
-            row_j = rows[j - 1]
-            for k in range(1, n + 1):
-                if row_ij[k - 1] != row_i[row_j[k - 1] - 1]:
-                    return False, (i, j, k)
+    # by_row[j - 1] maps s_i's row, padded to index from 1, to s_i (s_j s_k)
+    # for k = 1..n
+    by_row = [itemgetter(*row) for row in rows]
+    for i, row_i in enumerate(rows, 1):
+        padded = (None, *row_i)
+        for j, ij in enumerate(row_i, 1):
+            row_ij, right = tuple(rows[ij - 1]), by_row[j - 1](padded)
+            if right != row_ij:
+                k = next(k for k, (a, b) in enumerate(zip(row_ij, right), 1) if a != b)
+                return False, (i, j, k)
     return True, None
 
 

@@ -196,6 +196,21 @@ def test_check_embed_tampered_exits_1(z2_pres, tmp_path, capsys):
     assert "s1 s1" in captured.out
 
 
+def test_check_embed_finds_a_tampered_product_below_the_diagonal(tmp_path, capsys):
+    # t2 is not commutative, so the product s3 s1 (i > j) is not s1 s3; the
+    # tampered file keeps build's layout
+    out = tmp_path / "t2.json"
+    assert main(["build", "--builtin", "t2", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    (rule,) = [r for r in data["rules"] if r["lhs"] == ["s3", "s1"]]
+    assert rule["rhs"] == ["s3"]
+    rule["rhs"] = ["s4"]
+    out.write_text(json.dumps(data, indent=1) + "\n")
+    capsys.readouterr()
+    assert main(["check-embed", "--pres", str(out)]) == 1
+    assert capsys.readouterr().out == "s3 s1 reduces to s4, table says s3\n"
+
+
 def _short_row(data):
     data["table"][0] = data["table"][0][:1]
 

@@ -19,10 +19,12 @@ from cfmonoid.presentation import (
     ZERO_LETTER,
     ZERO_WORD,
     _decode,
+    _family,
     _generate_unchecked,
     _indented_json,
     _parse_token,
     _recognise,
+    _runs,
     _token,
     alphabet,
     format_word,
@@ -60,6 +62,11 @@ def _json_data(p):
 def _reference_json(p):
     # the former writer, kept as the reference for the file layout
     return json.dumps(_json_data(p), indent=1)
+
+
+def _reference_rule_counts(p):
+    # the former rule_counts, kept as the reference: the family of every rule
+    return Counter(map(_family, p.lhs_map))
 
 
 # ---------------------------------------------------------------- word syntax
@@ -356,6 +363,70 @@ def test_json_bytes_match_indented_json_dumps(name):
     else:
         p = _pres(name)
     assert presentation_to_json(p) == _reference_json(p)
+
+
+def _reordered(p, first, extra=()):
+    # p's rules with the left sides in first (word syntax) moved to the front
+    # in that order, after them the extra (left side, right side) pairs, and
+    # then the rest of p's rules in their order
+    front = [parse_word(lhs, p.n) for lhs in first]
+    rules = {lhs: p.lhs_map[lhs] for lhs in front}
+    rules.update((parse_word(lhs, p.n), parse_word(rhs, p.n)) for lhs, rhs in extra)
+    rules.update(p.lhs_map)
+    return Presentation(p.n, p.table, p.coloring, rules)
+
+
+def _shuffled(p, seed):
+    rules = list(p.lhs_map.items())
+    random.Random(seed).shuffle(rules)
+    return Presentation(p.n, p.table, p.coloring, dict(rules))
+
+
+_Z8 = generate_presentation(_cyclic(8), build_coloring(8))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        _Z8,
+        _shuffled(_Z8, 0),
+        _shuffled(_Z8, 1),
+        # one head, several families: s1 s1 (A) beside s1 0 (Z_right), and
+        # 0 y3 (Z_left) beside 0 0 (Z_right)
+        _reordered(_pres("z2"), ["s1 s1", "s1 0", "s1 s2", "0 y3", "0 0", "0 y2"]),
+        # left sides of no family, inside a run of A rules and on their own
+        _reordered(_pres("z2"), ["s1 s1"], [("s1 x1", "0"), ("s1 s1 s1", "s1"), ("x1 x2", "1")]),
+    ],
+    ids=["Z_8", "Z_8-shuffled-0", "Z_8-shuffled-1", "mixed-families", "no-family"],
+)
+def test_runs_write_and_count_any_map_as_the_per_rule_references(q):
+    runs = list(_runs(q.lhs_map))
+    # the runs cover the map in its order, and are maximal
+    assert [rule for _, _, lhss, rhss in runs for rule in zip(lhss, rhss)] == list(q.lhs_map.items())
+    ends = [(head, lhss[0][-1][0], lhss[-1][-1][0]) for _, head, lhss, _ in runs]
+    assert all((a[0], a[2]) != (b[0], b[1]) for a, b in zip(ends, ends[1:]))
+    # each run shares its head, the role of its last letter and its family
+    for family, head, lhss, rhss in runs:
+        assert len(lhss) == len(rhss) >= 1
+        assert {(_family(lhs), lhs[:-1], lhs[-1][0]) for lhs in lhss} == {(family, head, lhss[0][-1][0])}
+    assert presentation_to_json(q) == _reference_json(q)
+    assert rule_counts(q) == _reference_rule_counts(q)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_shuffled_file_loads_and_names_the_first_bad_rule_in_file_order(seed):
+    q = _shuffled(_Z8, seed)
+    data = json.loads(presentation_to_json(q))
+    assert presentation_from_json(json.dumps(data, indent=1)) == q
+    # two B rules with their right sides flipped: the first in the file is named
+    flips = [i for i, r in enumerate(data["rules"]) if r["family"] == "B"][3:5]
+    for i in flips:
+        data["rules"][i]["rhs"] = [] if data["rules"][i]["rhs"] else ["0"]
+    x, s, y = data["rules"][flips[0]]["lhs"]
+    i, j, k = int(x[1:]), int(s[1:]), int(y[1:])
+    why = rf"disagrees with the coloring, which has f\({i}, {j}, {k}\) = {coloring_entry(8, i, j, k)}$"
+    with pytest.raises(ValueError, match=rf"rule {x} {s} {y} -> .* {why}"):
+        presentation_from_json(json.dumps(data, indent=1))
 
 
 @pytest.mark.parametrize(

@@ -310,8 +310,21 @@ def test_verify_rejects_bad_multiplication():
         # claims a left multiplication but records the unmultiplied pair
         WitnessStep((u, v), ("MULL", g)),
     )
-    ok, idx, _ = verify_trace(WitnessTrace(tuple(steps)), p)
-    assert not ok and idx == 1
+    ok, idx, reason = verify_trace(WitnessTrace(tuple(steps)), p)
+    assert (ok, idx, reason) == (False, 1, "recorded pair does not match the declared move")
+
+
+def test_verify_rejects_bad_right_multiplication():
+    p = _pres("trivial")
+    u, v = EMPTY_WORD, parse_word("s1", 1)
+    g = parse_word("y1", 1)
+    steps = (
+        WitnessStep((u, v), ("GEN",)),
+        # claims a right multiplication but records the unmultiplied pair
+        WitnessStep((u, v), ("MULR", g)),
+    )
+    ok, idx, reason = verify_trace(WitnessTrace(tuple(steps)), p)
+    assert (ok, idx, reason) == (False, 1, "recorded pair does not match the declared move")
 
 
 # ---------------------------------------------------------------- trace files
