@@ -156,7 +156,7 @@ def parse_coloring(text: str) -> Coloring:
             continue
         if line.startswith("slice"):
             parts = line.split()
-            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
+            if len(parts) != 2 or parts[0] != "slice" or not (parts[1].isascii() and parts[1].isdigit()):
                 raise ColoringParseError(f"bad slice header {line!r}", lineno)
             if int(parts[1]) != len(slices) + 1:
                 raise ColoringParseError(

@@ -8,7 +8,7 @@ right side, and accepts only left sides of 2 or 3 letters and right sides of
 at most 1, the shapes the rewriting engine is built for.  The roles of a left
 side's letters fix its family (_FAMILY_OF_SHAPE), and the family fixes its
 right side (_right_side); the two are the one definition of the rule set,
-which the generator and the loader's check both read:
+which the generator reads, and the loader through the generator's text:
 
   A:       s_i s_j     -> s_{t(i,j)}   (the Cayley table)
   B:       x_i s_j y_k -> 1 or 0       (the coloring decides)
@@ -20,7 +20,6 @@ which the generator and the loader's check both read:
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -62,11 +61,6 @@ class WordSyntaxError(ValueError):
 
 
 def _parse_token(tok: str, n: int) -> Letter:
-    if type(tok) is not str:
-        # a token that is not a string (a JSON number, null, true, list or
-        # object in a presentation file) is a TypeError, which the loader
-        # reports as an invalid file
-        raise TypeError(f"unknown token {tok!r}")
     if tok == "0":
         return ZERO_LETTER
     role, digits = tok[:1], tok[1:]
@@ -261,14 +255,19 @@ def _right_side(family: str, head: Word, table: CayleyTable, coloring: Coloring)
 
 
 def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
+    """The presentation of _rule_map's rules, with no check of the table or coloring."""
+    return Presentation(table.n, table, coloring, _rule_map(table, coloring))
+
+
+def _rule_map(table: CayleyTable, coloring: Coloring) -> dict:
     """One rule per left side of each shape, in the order of _FAMILY_OF_SHAPE.
 
     Each shape's left sides come in lexicographic order, one block per
     head (all letters but the last): the block's left sides are the head
     followed by each letter of the last role, zipped with _right_side's
     list for that head, so no Python code runs per rule.  All words share
-    one tuple per letter: the letters of _letters(n), which the loader's
-    decoded words share too.
+    one tuple per letter: the letters of _letters(n), which the A right
+    sides that the loader reads share too.
     """
     letters = _letters(table.n).values()
     of_role = {role: [a for a in letters if a[0] == role] for role in "sxyz"}
@@ -277,7 +276,7 @@ def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
         lasts = [(a,) for a in of_role[shape[-1]]]
         for head in product(*[of_role[role] for role in shape[:-1]]):
             lhs_map.update(zip(map(head.__add__, lasts), _right_side(family, head, table, coloring)))
-    return Presentation(table.n, table, coloring, lhs_map)
+    return lhs_map
 
 
 def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
@@ -366,7 +365,7 @@ def presentation_to_json(p: Presentation) -> str:
     and the right side's text.  Family names and tokens are plain
     identifiers that JSON quotes as they are, a left side of no family is
     labelled null, and tokens come from the table that format_word uses.
-    presentation_from_json recognises a file by these same pieces, so the
+    presentation_from_json compares a file with these same pieces, so the
     layout has one definition.
     """
     parts = [_json_header(p.table, p.coloring)]
@@ -390,6 +389,10 @@ def _json_word(w: Word) -> str:
     return '[\n    "' + '",\n    "'.join(map(_token, w)) + '"\n   ]'
 
 
+# the key before a rule's right side
+_RHS_KEY = '"rhs": '
+
+
 def _json_rules(lhs_map):
     # presentation_to_json's text after _json_header, in pieces: one per run
     # of _runs with the separator before it, then the close.  A rule's text
@@ -398,7 +401,7 @@ def _json_rules(lhs_map):
     if not lhs_map:
         yield ' "rules": []\n}'
         return
-    rhs_text = {rhs: f'"\n   ],\n   "rhs": {_json_word(rhs)}\n  }}' for rhs in set(lhs_map.values())}
+    rhs_text = {rhs: f'"\n   ],\n   {_RHS_KEY}{_json_word(rhs)}\n  }}' for rhs in set(lhs_map.values())}
     sep = ' "rules": [\n'
     for family, head, lhss, rhss in _runs(lhs_map):
         label = "null" if family is None else f'"{family}"'
@@ -424,44 +427,20 @@ def _int_array(value, shape: tuple, lo: int, hi: int, name: str) -> tuple:
     return tuple(value)
 
 
-def _check_rules(lhs_map: dict, labels: list, table: CayleyTable, coloring: Coloring) -> None:
-    # a stored label must be the family its left side gives (a null label
-    # on a left side of no family included), so a census by family counts
-    # what the rules are; every right side but A's must be the construction's,
-    # which check-embed compares with the table for A.  A rule's right side
-    # is looked up in _right_side's list for its family and head, made once
-    # per head whatever the order of the rules, at the index of its last
-    # letter; z, of index 0, reads the list's last entry, 0
-    blocks = {}
-    for (lhs, rhs), label in zip(lhs_map.items(), labels):
-        family = _family(lhs)
-        if family != label or family is None:
-            gives = f"family {family}" if family else "no family"
-            raise ValueError(
-                f"invalid presentation file: rule {format_word(lhs)} -> {format_word(rhs)}"
-                f" is labelled {label} but its left side gives {gives}"
-            )
-        if family == "A":
-            continue
-        head = lhs[:-1]
-        want = blocks.get((family, head))
-        if want is None:
-            want = blocks[family, head] = _right_side(family, head, table, coloring)
-        if rhs != want[lhs[-1][1] - 1]:
-            if family == "B":
-                (_, i), (_, j), (_, k) = lhs
-                why = f"disagrees with the coloring, which has f({i}, {j}, {k}) = {coloring.get(i, j, k)}"
-            else:
-                why = f"is not the paper's construction, where every {family} rule rewrites to 0"
-            raise ValueError(f"invalid presentation file: rule {format_word(lhs)} -> {format_word(rhs)} {why}")
-
-
 def _table_and_coloring(data) -> tuple:
-    # the table and coloring of a decoded file, before
-    # _check_table_and_coloring: n >= 1, the table n x n with entries in
-    # 1..n and the coloring (n+1) x n x (n+1) with entries 0 or 1 (else
-    # ValueError); a missing field or a value of the wrong JSON type raises
-    # KeyError or TypeError
+    # the table and coloring of a decoded header, before
+    # _check_table_and_coloring: an object with a rules field and, before it,
+    # the fields n, table and coloring, n >= 1, the table n x n with entries
+    # in 1..n and the coloring (n+1) x n x (n+1) with entries 0 or 1 (else
+    # ValueError).  _decode_header decodes only the text before "rules", so a
+    # field after it is missing from data
+    if type(data) is not dict:
+        raise ValueError("invalid presentation file: the top level must be an object")
+    if "rules" not in data:
+        raise ValueError("invalid presentation file: no field 'rules'")
+    for key in ("n", "table", "coloring"):
+        if key not in data:
+            raise ValueError(f"invalid presentation file: no field {key!r} before \"rules\"")
     n = data["n"]
     if type(n) is not int or n < 1:
         raise ValueError(f"invalid presentation file: n must be a positive integer, got {n!r}")
@@ -470,148 +449,82 @@ def _table_and_coloring(data) -> tuple:
     return table, coloring
 
 
-def _rule_count(n: int) -> int:
-    # one rule per left side of each shape, from the letters of each role
-    letters = Counter(role for role, _ in _letters(n).values())
-    return sum(math.prod(letters[role] for role in shape) for shape in _FAMILY_OF_SHAPE)
-
-
 def presentation_from_json(text: str) -> Presentation:
-    """Load a serialized presentation; build's own files are recognised, not decoded.
+    """Load a presentation file, which must be build's text for its own table and coloring.
 
-    The file must hold the paper's construction for its table, apart from
-    the A right sides, which check-embed compares with the table.
-
-    A file that build wrote is recognised: only its header, the text before
-    "rules", is decoded; if that text is build's header for its table and
-    coloring, the rules are generated as build does and their text is
-    compared with the rest of the file.  A file that is exactly that text
-    followed by JSON whitespace alone has its table and coloring checked and
-    loads as the generated presentation; no rule record is decoded.  Any
-    other file falls back to the full decode below, which gives every
-    message and runs the checks; one whose header text was build's has then
-    also paid for one generation and the rules' text up to the first run
-    (of _runs) that differs.
-
-    The full decode checks in this order, and the first failure raises
-    ValueError: n >= 1, table n x n with entries in 1..n, and coloring
-    (n+1) x n x (n+1) with entries 0 or 1; the table must be associative
-    (NotAssociativeError) and the coloring must pass C1..C6
-    (ColoringConditionError); rules must be a JSON list, and each rule's lhs
-    and rhs a JSON list of token strings (an object or a string is not a
-    word, and a list is not a token); every rule must be length-reducing
-    with a left side of 2 or 3 letters; no two rules may share a left side,
-    since the records are decoded straight into lhs_map, which holds one
-    rule per left side; every stored family label must be Rule.family, the
-    family of its left side; a rule x_i s_j y_k -> w must have w = 1 where
-    f(i, j, k) = 1 and w = 0 where f(i, j, k) = 0, and every C, Z_left and
-    Z_right rule must rewrite to 0; and there must be a rule for every left
-    side of the five families.  Stored rules are kept as they are, so a
-    tampered A rule is loaded for check-embed to find.
-    Tokens are decoded by lookup in the token table that parse_word uses,
-    cached per n, so all rules share one tuple per letter, the same tuples
-    as generated rules; a token missing from it goes through the token
-    parser, which gives the error message.
+    Only the header, the text before "rules", is decoded.  It is checked in
+    this order, and the first failure raises: n >= 1, the table n x n with
+    entries in 1..n and the coloring (n+1) x n x (n+1) with entries 0 or 1
+    (ValueError); the table must be associative (NotAssociativeError) and
+    the coloring must pass C1..C6 (ColoringConditionError), whatever the
+    rules hold.  The rules are then generated as build generates them, and
+    the rest of the file must be their text, byte for byte, followed by JSON
+    whitespace alone.  The one thing a file may vary is the right side of
+    each A rule: [] or one token of the alphabet, decoded through the token
+    table that parse_word uses and loaded as stored, for check-complete and
+    check-embed to test.  Any other difference raises ValueError with the
+    line and column of the first byte that differs from build's text for
+    the file's table, coloring and A right sides; a file cut short differs
+    where it ends.  No rule record goes through the JSON decoder, and the
+    rules share one tuple per letter.
     """
-    p = _recognise(text)
-    if p is not None:
-        return p
-    return _decode(text)
-
-
-def _recognise(text: str):
-    # the generated presentation if text is presentation_to_json's text for
-    # the table and coloring of its own header, followed by JSON whitespace
-    # only; else None.  A header fault is left for _decode to name.  Generation
-    # reads only range-checked entries, so the table and coloring checks wait
-    # until the whole text matched and then raise what _decode would: every
-    # file pays for them once
-    try:
-        data = json.loads(text[: text.index('"rules"')] + '"rules": null}')
-        table, coloring = _table_and_coloring(data)
-    except (ValueError, LookupError, TypeError, RecursionError):
-        return None
-    header = _json_header(table, coloring)
-    if not text.startswith(header):
-        return None
-    p = _generate_unchecked(table, coloring)
-    end = len(header)
-    for part in _json_rules(p.lhs_map):
-        if not text.startswith(part, end):
-            return None
-        end += len(part)
-    if text[end:].strip(" \t\n\r"):
-        return None
+    table, coloring = _table_and_coloring(_decode_header(text))
     _check_table_and_coloring(table, coloring)
-    return p
+    pos = _expect(text, 0, _json_header(table, coloring))
+    lhs_map = _rule_map(table, coloring)
+    lhs_map.update(_stored_a_right_sides(text, pos, lhs_map, table.n))
+    for part in _json_rules(lhs_map):
+        pos = _expect(text, pos, part)
+    trailer = text[pos:]
+    if trailer.strip(" \t\n\r"):
+        raise _differs(text, len(text) - len(trailer.lstrip(" \t\n\r")), "JSON whitespace")
+    return Presentation(table.n, table, coloring, lhs_map)
 
 
-# the JSON names of the decoded types but an object and a number, for messages
-_JSON_TYPE = {list: "a list", str: "a string", bool: "a boolean", type(None): "null"}
-
-
-def _fault(data, error: Exception) -> str:
-    # what is wrong with a file whose decoding raised a KeyError or TypeError:
-    # a top level that is not an object, a missing field, or a rule record
-    # that is not an object or lacks a field, the first by rule number from
-    # 1; else the error's own text (a token that is not a string).  It runs
-    # on the error path only, so a valid file pays nothing per rule.
-    if type(data) is not dict:
-        return f"the top level must be an object, not {_JSON_TYPE.get(type(data), 'a number')}"
-    missing = [key for key in ("n", "table", "coloring", "rules") if key not in data]
-    if missing:
-        return f"no field {missing[0]!r}"
-    for number, r in enumerate(data["rules"] if type(data["rules"]) is list else (), 1):
-        if type(r) is not dict:
-            return f"rule {number} must be an object, not {_JSON_TYPE.get(type(r), 'a number')}"
-        missing = [key for key in ("family", "lhs", "rhs") if key not in r]
-        if missing:
-            return f"rule {number} has no field {missing[0]!r}"
-    return str(error)
-
-
-def _decode(text: str) -> Presentation:
-    # presentation_from_json's full decode and checks
+def _decode_header(text: str):
+    # the header, the text before "rules", decoded alone with a null rules
+    # field to close it; a text with no "rules" is all header, and then has
+    # no rules field
+    end = text.find('"rules"')
     try:
-        data = json.loads(text)
+        return json.loads(text[:end] + '"rules": null}' if end >= 0 else text)
     except (json.JSONDecodeError, RecursionError) as e:
         # RecursionError: arrays or objects nested too deeply to decode
         raise ValueError(f"invalid presentation JSON: {e}") from None
-    try:
-        table, coloring = _table_and_coloring(data)
-        _check_table_and_coloring(table, coloring)
-        n = table.n
-        letter = _letters(n).__getitem__
 
-        def word(tokens):
-            if type(tokens) is not list:
-                raise ValueError(f"invalid presentation file: a word must be a list of tokens, got {tokens!r}")
-            try:
-                return tuple(map(letter, tokens))
-            except (KeyError, TypeError):
-                return tuple(_parse_token(t, n) for t in tokens)
 
-        records = data["rules"]
-        if type(records) is not list:
-            raise ValueError("invalid presentation file: rules must be a list")
-        lhs_map = {word(r["lhs"]): word(r["rhs"]) for r in records}
-        labels = [r["family"] for r in records]
-    except (KeyError, TypeError, IndexError) as e:
-        raise ValueError(f"invalid presentation file: {_fault(data, e)}") from None
-    try:
-        pres = Presentation(n, table, coloring, lhs_map)
-    except ValueError as e:
-        raise ValueError(f"invalid presentation file: {e}") from None
-    if len(lhs_map) != len(labels):
-        seen = set()
-        for lhs in (word(r["lhs"]) for r in records):
-            if lhs in seen:
-                raise ValueError(f"invalid presentation file: two rules for the left side {format_word(lhs)}")
-            seen.add(lhs)
-    _check_rules(lhs_map, labels, table, coloring)
-    # every left side has a family and none repeats, so a short count means a
-    # missing rule; the first one in generator order is named
-    if len(lhs_map) != _rule_count(n):
-        missing = next(lhs for lhs in _generate_unchecked(table, coloring).lhs_map if lhs not in lhs_map)
-        raise ValueError(f"invalid presentation file: no rule for the left side {format_word(missing)}")
-    return pres
+def _stored_a_right_sides(text: str, pos: int, lhs_map: dict, n: int) -> dict:
+    # the A rules' right sides as the file from pos stores them.  build writes
+    # the n*n A rules first, so the word after each of the next n*n '"rhs": '
+    # keys is read, as the text that _json_word writes for [] or one letter;
+    # a rule whose word reads as neither keeps its generated right side,
+    # which the compare then finds differs
+    words = {_json_word(w): w for w in (EMPTY_WORD, *((a,) for a in _letters(n).values()))}
+    stored = {}
+    for lhs in islice(lhs_map, n * n):
+        pos = text.find(_RHS_KEY, pos)
+        if pos < 0:
+            break
+        pos += len(_RHS_KEY)
+        word = words.get(text[pos : text.find("]", pos) + 1])
+        if word is not None:
+            stored[lhs] = word
+    return stored
+
+
+def _expect(text: str, pos: int, part: str) -> int:
+    # the end of part in text if text holds part at pos; else ValueError at
+    # the first byte that differs, which the error path alone looks for
+    if text.startswith(part, pos):
+        return pos + len(part)
+    got = text[pos : pos + len(part)]
+    i = next((i for i, (a, b) in enumerate(zip(got, part)) if a != b), len(got))
+    raise _differs(text, pos + i, repr(part[i : i + 12]))
+
+
+def _differs(text: str, i: int, expected: str) -> ValueError:
+    # the error for a file that differs from build's text at index i
+    line = text.count("\n", 0, i) + 1
+    column = i - text.rfind("\n", 0, i)
+    found = repr(text[i : i + 12]) if i < len(text) else "the end of the file"
+    return ValueError(f"invalid presentation file: line {line}, column {column}: expected {expected}, found {found}")

@@ -40,6 +40,12 @@ def z2_pres(tmp_path):
     return out
 
 
+def _write(path, data):
+    # a tampered file in build's layout, which json.dumps(indent=1) writes,
+    # so that the loader meets the tampering and not a change of layout
+    path.write_text(json.dumps(data, indent=1) + "\n")
+
+
 def test_build_trivial(tmp_path, capsys):
     out = tmp_path / "p.json"
     rc = main(["build", "--builtin", "trivial", "--out", str(out)])
@@ -126,7 +132,7 @@ def test_check_complete_tampered_exits_1(z2_pres, tmp_path, capsys):
     assert rule["family"] == "A" and rule["lhs"] == ["s1", "s1"]
     rule["rhs"] = ["s2"]
     tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(data))
+    _write(tampered, data)
     capsys.readouterr()
     rc = main(["check-complete", "--pres", str(tampered)])
     captured = capsys.readouterr()
@@ -189,7 +195,7 @@ def test_check_embed_tampered_exits_1(z2_pres, tmp_path, capsys):
     data = json.loads(z2_pres.read_text())
     data["rules"][0]["rhs"] = ["s2"]  # s1 s1 should give s1 in the group z2
     tampered = tmp_path / "t.json"
-    tampered.write_text(json.dumps(data))
+    _write(tampered, data)
     rc = main(["check-embed", "--pres", str(tampered)])
     captured = capsys.readouterr()
     assert rc == 1
@@ -205,7 +211,7 @@ def test_check_embed_finds_a_tampered_product_below_the_diagonal(tmp_path, capsy
     (rule,) = [r for r in data["rules"] if r["lhs"] == ["s3", "s1"]]
     assert rule["rhs"] == ["s3"]
     rule["rhs"] = ["s4"]
-    out.write_text(json.dumps(data, indent=1) + "\n")
+    _write(out, data)
     capsys.readouterr()
     assert main(["check-embed", "--pres", str(out)]) == 1
     assert capsys.readouterr().out == "s3 s1 reduces to s4, table says s3\n"
@@ -234,7 +240,7 @@ def test_check_embed_malformed_presentation_exits_2(z2_pres, tmp_path, capsys, c
     data = json.loads(z2_pres.read_text())
     corrupt(data)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    _write(bad, data)
     capsys.readouterr()
     rc = main(["check-embed", "--pres", str(bad)])
     captured = capsys.readouterr()
@@ -345,7 +351,7 @@ def test_a_failing_check_into_a_closed_pipe_does_not_exit_0(z2_pres, tmp_path, b
     data = json.loads(z2_pres.read_text())
     data["rules"][0]["rhs"] = ["s2"]
     tampered = tmp_path / "t.json"
-    tampered.write_text(json.dumps(data))
+    _write(tampered, data)
     assert _run_into_a_closed_pipe(["check-embed", "--pres", str(tampered)], buffered) == (code, [], err)
 
 
@@ -525,32 +531,6 @@ def test_usage_error_leaves_the_next_call_unchanged(z2_pres, capsys):
     assert before[0] == 0 and "system is complete" in before[1]
 
 
-@pytest.mark.parametrize(
-    "lhs, rhs, command",
-    [
-        ("s1", "", ["nf", "s1"]),
-        ("s1", "", ["check-embed"]),
-        ("x1 x1 x1 x1", "0", ["nf", "x1 x1 x1 x1"]),
-        ("x1 s1 s1", "s1 s1", ["nf", "x1 s1 s1"]),
-    ],
-    ids=["1-letter-lhs-nf", "1-letter-lhs-check-embed", "4-letter-lhs-nf", "2-letter-rhs-nf"],
-)
-def test_rule_outside_the_engine_shapes_exits_2(z2_pres, tmp_path, capsys, lhs, rhs, command):
-    # the reducer applies left sides of 2 or 3 letters with right sides of at
-    # most one; a file with any other rule is rejected, not silently half-used
-    data = json.loads(z2_pres.read_text())
-    data["rules"].append({"family": "C", "lhs": lhs.split(), "rhs": rhs.split()})
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    capsys.readouterr()
-    rc = main([command[0], "--pres", str(bad), *command[1:]])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.err.startswith("error: invalid presentation file: rule must be length-reducing")
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
-
-
 def test_collapse_on_coloring_failing_c1_exits_4(z2_pres, tmp_path, capsys):
     # the fiber (1, 1, .) colored 0 everywhere breaks C1; collapse needs a
     # y-index colored 1 over (x1, s1) and reports the conditions instead
@@ -560,7 +540,7 @@ def test_collapse_on_coloring_failing_c1_exits_4(z2_pres, tmp_path, capsys):
         if r["family"] == "B" and r["lhs"][:2] == ["x1", "s1"]:
             r["rhs"] = ["0"]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    _write(bad, data)
     capsys.readouterr()
     rc = main(["collapse", "--pres", str(bad), "x1 s1", "x1"])
     captured = capsys.readouterr()
@@ -597,7 +577,7 @@ def test_file_with_a_non_associative_table_exits_3(z2_pres, tmp_path, capsys, co
         if r["family"] == "A":
             i, j = (int(t[1:]) for t in r["lhs"])
             r["rhs"] = [f"s{data['table'][i - 1][j - 1]}"]
-    (tmp_path / "bad.json").write_text(json.dumps(data))
+    _write(tmp_path / "bad.json", data)
     capsys.readouterr()
     rc = _run_on(tmp_path, command)
     captured = capsys.readouterr()
@@ -614,7 +594,7 @@ def test_file_with_a_coloring_failing_c1_exits_4(z2_pres, tmp_path, capsys, comm
     for r in data["rules"]:
         if r["family"] == "B" and r["lhs"][:2] == ["x1", "s1"]:
             r["rhs"] = ["0"]
-    (tmp_path / "bad.json").write_text(json.dumps(data))
+    _write(tmp_path / "bad.json", data)
     capsys.readouterr()
     rc = _run_on(tmp_path, command)
     captured = capsys.readouterr()
@@ -636,7 +616,7 @@ def _mutations(data, rng):
         other = rng.choice([a for a in letters if [a] != r["rhs"]])
         for rhs in ([], ["0"], [other]):
             if rhs != r["rhs"]:
-                yield f"rhs {t} {rhs}", rules[:t] + [{**r, "rhs": rhs}] + rules[t + 1:]
+                yield f"{r['family']} rhs {t} {rhs}", rules[:t] + [{**r, "rhs": rhs}] + rules[t + 1:]
         for family in RULE_FAMILIES:
             if family != r["family"]:
                 yield f"relabel {t} {family}", rules[:t] + [{**r, "family": family}] + rules[t + 1:]
@@ -651,7 +631,8 @@ def _mutations(data, rng):
 @pytest.mark.parametrize("name", ["z2", "leftzero2"])
 def test_every_mutated_presentation_fails_a_check(tmp_path, capsys, name):
     # a file that passes check-complete and check-embed is the construction
-    # for its table: no deleted, changed, relabelled or added rule passes both
+    # for its table: every mutation but a changed A right side exits 2 at
+    # load, and no changed A right side passes both checks
     clean = tmp_path / "clean.json"
     assert main(["build", "--builtin", name, "--out", str(clean)]) == 0
     data = json.loads(clean.read_text())
@@ -659,12 +640,18 @@ def test_every_mutated_presentation_fails_a_check(tmp_path, capsys, name):
     # per rule: a deletion, at least two other right sides, four other labels
     assert len(mutations) >= 7 * len(data["rules"]) + 50
     path = tmp_path / "mutated.json"
-    passed = []
+    a_right_sides, loaded, passed = 0, [], []
     for what, rules in mutations:
-        path.write_text(json.dumps({**data, "rules": rules}))
-        if main(["check-embed", "--pres", str(path)]) == 0 and main(["check-complete", "--pres", str(path)]) == 0:
-            passed.append(what)
+        _write(path, {**data, "rules": rules})
+        if what.startswith("A rhs"):
+            a_right_sides += 1
+            if main(["check-embed", "--pres", str(path)]) == 0 and main(["check-complete", "--pres", str(path)]) == 0:
+                passed.append(what)
+        elif main(["check-embed", "--pres", str(path)]) != 2:
+            loaded.append(what)
     capsys.readouterr()
+    assert a_right_sides >= 2 * data["n"] ** 2
+    assert loaded == []
     assert passed == []
 
 
@@ -676,153 +663,90 @@ def test_enumerate_negative_maxlen_exits_2(trivial_pres, capsys):
     assert "maxlen" in captured.err
 
 
-@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
-def test_relabelled_rules_exit_2(z2_pres, tmp_path, capsys, command):
+def _rule_of(data, lhs):
+    (rule,) = [r for r in data["rules"] if r["lhs"] == lhs.split()]
+    return rule
+
+
+def _rule_before(data, lhs, record):
+    # record inserted just before the rule of the left side lhs
+    data["rules"].insert(data["rules"].index(_rule_of(data, lhs)), record)
+
+
+# edits of z2's file that leave its header and its A right sides as build
+# wrote them, so the loader rejects each where the file first differs
+_TAMPERED = {
+    # the reducer applies left sides of 2 or 3 letters with right sides of at
+    # most one; a file with any other rule is not silently half-used
+    "1-letter-lhs": lambda data: data["rules"].append({"family": "C", "lhs": ["s1"], "rhs": []}),
+    "4-letter-lhs": lambda data: data["rules"].append({"family": "C", "lhs": ["x1"] * 4, "rhs": ["0"]}),
+    "2-letter-rhs": lambda data: data["rules"].append({"family": "C", "lhs": ["x1", "s1", "s1"], "rhs": ["s1"] * 2}),
     # with every C rule x_i y_j -> 0 labelled A, the census by family pair
     # would show no C rows and still report a complete system
-    data = json.loads(z2_pres.read_text())
-    for r in data["rules"]:
-        if r["family"] == "C":
-            r["family"] = "A"
-    bad = tmp_path / "relabelled.json"
-    bad.write_text(json.dumps(data))
-    capsys.readouterr()
-    rc = main([command, "--pres", str(bad)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "rule x1 y1 -> 0 is labelled A but its left side gives family C" in captured.err
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
-
-
-def _flip_b_rule(pres_path, tmp_path, lhs, rhs):
-    data = json.loads(pres_path.read_text())
-    (rule,) = [r for r in data["rules"] if r["lhs"] == lhs.split()]
-    assert rule["family"] == "B" and rule["rhs"] != rhs
-    rule["rhs"] = rhs
-    bad = tmp_path / "flipped.json"
-    bad.write_text(json.dumps(data))
-    return bad
-
-
-@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
-def test_b_rule_disagreeing_with_the_coloring_exits_2(z2_pres, tmp_path, capsys, command):
-    # f(1, 1, 1) = 1, so x1 s1 y1 must rewrite to 1; with 0 the rules no
-    # longer encode the coloring that passes C1..C6
-    bad = _flip_b_rule(z2_pres, tmp_path, "x1 s1 y1", ["0"])
-    capsys.readouterr()
-    rc = main([command, "--pres", str(bad)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "x1 s1 y1 -> 0 disagrees with the coloring" in captured.err
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
-
-
-def test_collapse_on_b_rule_disagreeing_with_the_coloring_exits_2(tmp_path, capsys):
-    pres = tmp_path / "lz.json"
-    assert main(["build", "--builtin", "leftzero2", "--out", str(pres)]) == 0
-    bad = _flip_b_rule(pres, tmp_path, "x2 s1 y3", [])
-    capsys.readouterr()
-    rc = main(["collapse", "--pres", str(bad), "y2", "y3"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "x2 s1 y3 -> 1 disagrees with the coloring" in captured.err
-    assert "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
-def test_two_rules_for_one_left_side_exits_2(z2_pres, tmp_path, capsys, command):
+    "C-rules-labelled-A": lambda data: [r.update(family="A") for r in data["rules"] if r["family"] == "C"],
+    # f(1, 1, 1) = 1 and f(2, 1, 3) = 0, so these rules no longer encode the
+    # coloring that passes C1..C6
+    "B-rule-1-flipped-to-0": lambda data: _rule_of(data, "x1 s1 y1").update(rhs=["0"]),
+    "B-rule-0-flipped-to-1": lambda data: _rule_of(data, "x2 s1 y3").update(rhs=[]),
+    # a Z_right rule that does not rewrite to 0; collapse's step bound, which
+    # such a rule would let a pair hit, is tested on the library function in
+    # tests/test_witness.py
+    "Z_right-rule-to-x3": lambda data: _rule_of(data, "s1 0").update(rhs=["x3"]),
     # the reducer keeps one rule per left side and no critical pair joins two
     # equal left sides, so a second rule would pass both checks unread
-    data = json.loads(z2_pres.read_text())
-    (at,) = [t for t, r in enumerate(data["rules"]) if r["lhs"] == ["x1", "y1"]]
-    data["rules"].insert(at, {"family": "C", "lhs": ["x1", "y1"], "rhs": ["s1"]})
-    bad = tmp_path / "twice.json"
-    bad.write_text(json.dumps(data))
-    capsys.readouterr()
-    rc = main([command, "--pres", str(bad)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "two rules for the left side x1 y1" in captured.err
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
-@pytest.mark.parametrize(
-    "side, lhs, word",
-    [("lhs", ["x1", "y1"], {"x1": 0, "y1": 0}), ("rhs", ["x1", "y1"], "0")],
-    ids=["object-lhs", "string-rhs"],
-)
-def test_word_that_is_not_a_list_exits_2(z2_pres, tmp_path, capsys, command, side, lhs, word):
+    "two-rules-for-x1-y1": lambda data: _rule_before(
+        data, "x1 y1", {"family": "C", "lhs": ["x1", "y1"], "rhs": ["s1"]}
+    ),
     # an object reads as its keys and a string as its characters, so both
-    # words here spell the rule's own and the file would pass both checks
-    data = json.loads(z2_pres.read_text())
-    (rule,) = [r for r in data["rules"] if r["lhs"] == lhs]
-    rule[side] = word
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    capsys.readouterr()
-    rc = main([command, "--pres", str(bad)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert f"a word must be a list of tokens, got {word!r}" in captured.err
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
+    # words here spell the rule's own
+    "object-lhs": lambda data: _rule_of(data, "x1 y1").update(lhs={"x1": 0, "y1": 0}),
+    "string-rhs": lambda data: _rule_of(data, "x1 y1").update(rhs="0"),
+    "rules-object": lambda data: data.update(rules={}),
+    "list-token": lambda data: data["rules"][0].update(lhs=[["s1"], "s1"]),
+    "number-token": lambda data: data["rules"][0].update(lhs=[5, "s1"]),
+    "object-token": lambda data: data["rules"][0].update(rhs=[{"a": 1}]),
+    "number-rule": lambda data: data["rules"].__setitem__(0, 5),
+    "rule-without-lhs": lambda data: data["rules"][2].pop("lhs"),
+}
 
 
-@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
-@pytest.mark.parametrize(
-    "edit, error",
-    [
-        (lambda data: data.update(rules={}), "invalid presentation file: rules must be a list"),
-        (
-            lambda data: data["rules"][0].update(lhs=[["s1"], "s1"]),
-            "invalid presentation file: unknown token ['s1']",
-        ),
-        (lambda data: data["rules"][0].update(lhs=[5, "s1"]), "invalid presentation file: unknown token 5"),
-        (
-            lambda data: data["rules"][0].update(rhs=[{"a": 1}]),
-            "invalid presentation file: unknown token {'a': 1}",
-        ),
-        (
-            lambda data: data["rules"].__setitem__(0, 5),
-            "invalid presentation file: rule 1 must be an object, not a number",
-        ),
-        (lambda data: data["rules"][2].pop("lhs"), "invalid presentation file: rule 3 has no field 'lhs'"),
-    ],
-    ids=["rules-object", "list-token", "number-token", "object-token", "number-rule", "rule-without-lhs"],
-)
-def test_rules_or_token_of_the_wrong_json_type_exits_2(z2_pres, tmp_path, capsys, command, edit, error):
+def _line_and_column(text, other):
+    # where text first differs from other, from 1: the line and the column of
+    # the first character that differs, or of the end of text if it is a
+    # prefix of other
+    i = len(os.path.commonprefix([text, other]))
+    lines = text[:i].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
+@pytest.mark.parametrize("command", _PRES_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("edit", _TAMPERED.values(), ids=_TAMPERED)
+def test_a_tampered_rule_exits_2_where_the_file_first_differs(z2_pres, tmp_path, capsys, command, edit):
     data = json.loads(z2_pres.read_text())
     edit(data)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    _write(tmp_path / "bad.json", data)
+    line, column = _line_and_column((tmp_path / "bad.json").read_text(), z2_pres.read_text())
     capsys.readouterr()
-    rc = main([command, "--pres", str(bad)])
+    rc = _run_on(tmp_path, command)
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err == f"error: {error}\n"
+    assert captured.err.startswith(f"error: invalid presentation file: line {line}, column {column}: expected ")
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 
-def test_collapse_on_a_z_rule_that_does_not_rewrite_to_0_exits_2(z2_pres, tmp_path, capsys):
-    # s1 0 -> x3 is a Z_right rule that does not rewrite to 0, so the loader
-    # rejects the file before collapse runs; collapse's step bound, which such
-    # a rule would let a pair hit, is tested on the library function in
-    # tests/test_witness.py
-    data = json.loads(z2_pres.read_text())
-    (rule,) = [r for r in data["rules"] if r["lhs"] == ["s1", "0"]]
-    rule["rhs"] = ["x3"]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+@pytest.mark.parametrize("command", ["check-complete", "check-embed"])
+def test_a_crlf_copy_of_builds_file_loads(z2_pres, tmp_path, capsys, command):
+    # the CLI reads a file with universal newlines, so CRLF line ends read as
+    # build's LF
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes(z2_pres.read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf.read_bytes()
     capsys.readouterr()
-    rc = main(["collapse", "--pres", str(bad), "y2 x2", "y1 y1"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "not the paper's construction" in captured.err
-    assert "Traceback" not in captured.err
+    assert main([command, "--pres", str(z2_pres)]) == 0
+    built = capsys.readouterr()
+    assert main([command, "--pres", str(crlf)]) == 0
+    assert capsys.readouterr() == built
 
 
 @pytest.mark.parametrize("command", _PRES_COMMANDS, ids=lambda argv: argv[0])

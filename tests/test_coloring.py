@@ -250,6 +250,10 @@ def test_parse_errors():
         parse_coloring("")
     with pytest.raises(ColoringParseError, match="bad slice header"):
         parse_coloring("slice one\n1 0\n0 1\n")
+    # a first field that only starts with "slice" is not a header
+    for header in ("slicer 1", "slices 1", "slice_two 1"):
+        with pytest.raises(ColoringParseError, match=f"line 1: bad slice header '{header}'"):
+            parse_coloring(f"{header}\n1 0\n0 1\n")
     with pytest.raises(ColoringParseError, match="before any slice"):
         parse_coloring("1 0\n")
     with pytest.raises(ColoringParseError, match="bits must be 0 or 1"):
