@@ -19,6 +19,7 @@ import functools
 import os
 import sys
 from collections import Counter
+from itertools import chain, repeat
 from pathlib import Path
 
 from .coloring import (
@@ -67,7 +68,9 @@ def cmd_nf(args) -> int:
 def cmd_check_complete(args) -> int:
     pres = args.pres
     ok, bad, pairs = check_local_confluence(pres)
-    combos = Counter((cp.rule_left.family, cp.rule_right.family) for cp in pairs)
+    # each left side's family, taken once from its run: a run has one family
+    family = dict(zip(pres.lhs_map, chain.from_iterable(repeat(f, len(lasts)) for f, _, lasts in pres._runs)))
+    combos = Counter((family[cp.rule_left.lhs], family[cp.rule_right.lhs]) for cp in pairs)
     print(f"critical pairs: {len(pairs)}")
     for (f1, f2), count in sorted(combos.items()):
         print(f"  {f1}-{f2}: {count}")

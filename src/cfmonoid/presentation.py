@@ -184,7 +184,9 @@ class Presentation:
 
     A table or coloring whose order is not n, a left side not of 2 or 3
     letters, or a right side longer than 1, raises ValueError.  The map it
-    is given is copied, so no caller holds the dict under lhs_map.
+    is given is copied, so no caller holds the dict under lhs_map.  The
+    generator and the loader keep the runs they fill with the value they
+    return (_runs); any other value derives them on first read.
     """
 
     n: int
@@ -238,6 +240,21 @@ class Presentation:
                 three[lhs[0]] = rhs
         return dict(rows)
 
+    @cached_property
+    def _runs(self) -> tuple:
+        """lhs_map cut into runs: one (family, head, lasts) per run, in map order.
+
+        A run is a maximal stretch of consecutive rules whose left sides
+        share all letters but the last (head) and the role of the last, so
+        it has one family; lasts are the last letters of its left sides,
+        and its right sides are the next len(lasts) values of lhs_map.
+        _generate_unchecked and presentation_from_json store the runs that
+        _rule_map fills; any other value (a map built by hand, or one from
+        dataclasses.replace) derives them on first read through the
+        module's _runs.  Like _by_last_two, they are kept outside the fields.
+        """
+        return tuple(_runs(self.lhs_map))
+
 
 def _right_side(family: str, head: Word, table: CayleyTable, coloring: Coloring) -> list:
     # the construction's right sides of one block of a family's left sides:
@@ -255,28 +272,39 @@ def _right_side(family: str, head: Word, table: CayleyTable, coloring: Coloring)
 
 
 def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
-    """The presentation of _rule_map's rules, with no check of the table or coloring."""
-    return Presentation(table.n, table, coloring, _rule_map(table, coloring))
+    """The presentation of _rule_map's rules, with no check of the table or coloring, and its runs kept."""
+    lhs_map, runs = _rule_map(table, coloring)
+    return _with_runs(Presentation(table.n, table, coloring, lhs_map), runs)
 
 
-def _rule_map(table: CayleyTable, coloring: Coloring) -> dict:
-    """One rule per left side of each shape, in the order of _FAMILY_OF_SHAPE.
+def _rule_map(table: CayleyTable, coloring: Coloring) -> tuple:
+    """One rule per left side of each shape, in the order of _FAMILY_OF_SHAPE, and the runs that hold them.
 
-    Each shape's left sides come in lexicographic order, one block per
-    head (all letters but the last): the block's left sides are the head
-    followed by each letter of the last role, zipped with _right_side's
-    list for that head, so no Python code runs per rule.  All words share
-    one tuple per letter: the letters of _letters(n), which the A right
-    sides that the loader reads share too.
+    Each shape's left sides come in lexicographic order, one run per head
+    (all letters but the last): the run's left sides are the head followed
+    by each letter of the last role, zipped with _right_side's list for
+    that head, so no Python code runs per rule.  Returns the map and the
+    list of its runs as Presentation._runs holds them; the runs of a shape
+    share one tuple of last letters.  All words share one tuple per letter:
+    the letters of _letters(n), which the A right sides that the loader
+    reads share too.
     """
     letters = _letters(table.n).values()
-    of_role = {role: [a for a in letters if a[0] == role] for role in "sxyz"}
-    lhs_map = {}
+    of_role = {role: tuple(a for a in letters if a[0] == role) for role in "sxyz"}
+    lhs_map, runs = {}, []
     for shape, family in _FAMILY_OF_SHAPE.items():
-        lasts = [(a,) for a in of_role[shape[-1]]]
+        lasts = of_role[shape[-1]]
+        tails = [(a,) for a in lasts]
         for head in product(*[of_role[role] for role in shape[:-1]]):
-            lhs_map.update(zip(map(head.__add__, lasts), _right_side(family, head, table, coloring)))
-    return lhs_map
+            lhs_map.update(zip(map(head.__add__, tails), _right_side(family, head, table, coloring)))
+            runs.append((family, head, lasts))
+    return lhs_map, runs
+
+
+def _with_runs(p: Presentation, runs) -> Presentation:
+    # p with runs, which cut p.lhs_map as _runs does, kept as its _runs
+    p.__dict__["_runs"] = tuple(runs)
+    return p
 
 
 def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
@@ -308,11 +336,11 @@ def generate_presentation(table: CayleyTable, coloring: Coloring) -> Presentatio
 def rule_counts(p: Presentation) -> Counter:
     """Rules by family (None for a left side of no family); a family with no rule counts 0.
 
-    The family is read once per run of _runs, and each run adds its length.
+    Each run of p._runs adds its length to its family.
     """
     counts = Counter()
-    for family, _, lhss, _ in _runs(p.lhs_map):
-        counts[family] += len(lhss)
+    for family, _, lasts in p._runs:
+        counts[family] += len(lasts)
     return counts
 
 
@@ -322,21 +350,15 @@ _ROLE = itemgetter(0)
 
 
 def _runs(lhs_map):
-    # lhs_map cut into runs: maximal stretches of consecutive rules whose
-    # left sides share all letters but the last, and the role of the last,
-    # so that a run has one family.  Yields (family, head, left sides, right
-    # sides) per run, in map order; the map may be in any order, and a run
-    # may hold one rule.  The rules are grouped by head, then by the last
-    # letter's role, with C-level iterators, so Python code runs per run,
-    # not per rule
-    rhss = iter(lhs_map.values())
+    # the runs of Presentation._runs, derived from any map: yields
+    # (family, head, lasts) per run, in map order; the map may be in any
+    # order, and a run may hold one rule.  The left sides are grouped by
+    # head, and each head's last letters by role, with C-level iterators, so
+    # Python code runs per run, not per rule
     for head, group in groupby(lhs_map, _HEAD):
-        block = list(group)
-        lhss = iter(block)
-        for _, roles in groupby(map(_ROLE, map(_LAST, block))):
-            size = len(list(roles))
-            run = list(islice(lhss, size))
-            yield _family(run[0]), head, run, list(islice(rhss, size))
+        for _, lasts in groupby(map(_LAST, group), _ROLE):
+            lasts = tuple(lasts)
+            yield _family(head + lasts[:1]), head, lasts
 
 
 def _indented_json(value, depth: int) -> str:
@@ -359,17 +381,17 @@ def presentation_to_json(p: Presentation) -> str:
     CPython falls back to its pure-Python encoder, which is slow on the
     (n+1) n (n+1) coloring bits and on as many B rules, and holds millions
     of small chunks at once.  The header's int arrays come from a small
-    writer of the same layout, and the rules are written run by run (_runs):
-    the text that a run's rules share, up to the last token of the left
-    side, is made once and joined over the run's tails, each the last token
-    and the right side's text.  Family names and tokens are plain
+    writer of the same layout, and the rules are written run by run
+    (p._runs, kept from generation): the text that a run's rules share, up
+    to the last token of the left side, is made once and joined over the
+    run's tails, each the last token and the right side's text.  Family names and tokens are plain
     identifiers that JSON quotes as they are, a left side of no family is
     labelled null, and tokens come from the table that format_word uses.
     presentation_from_json compares a file with these same pieces, so the
     layout has one definition.
     """
     parts = [_json_header(p.table, p.coloring)]
-    parts += _json_rules(p.lhs_map)
+    parts += _json_rules(p._runs, p.lhs_map)
     return "".join(parts)
 
 
@@ -393,22 +415,24 @@ def _json_word(w: Word) -> str:
 _RHS_KEY = '"rhs": '
 
 
-def _json_rules(lhs_map):
+def _json_rules(runs, lhs_map):
     # presentation_to_json's text after _json_header, in pieces: one per run
-    # of _runs with the separator before it, then the close.  A rule's text
-    # is its run's head text, the token of its last letter and the text of
-    # its right side, which is made once per distinct right side
+    # (runs cut lhs_map as Presentation._runs does) with the separator
+    # before it, then the close.  A rule's text is its run's head text, the
+    # token of its last letter and the text of its right side, which is
+    # made once per distinct right side
     if not lhs_map:
         yield ' "rules": []\n}'
         return
     rhs_text = {rhs: f'"\n   ],\n   {_RHS_KEY}{_json_word(rhs)}\n  }}' for rhs in set(lhs_map.values())}
+    rhss = map(rhs_text.__getitem__, lhs_map.values())
     sep = ' "rules": [\n'
-    for family, head, lhss, rhss in _runs(lhs_map):
+    for family, head, lasts in runs:
         label = "null" if family is None else f'"{family}"'
         head_text = f'  {{\n   "family": {label},\n   "lhs": [\n    "' + "".join(
             f'{_token(a)}",\n    "' for a in head
         )
-        tails = map(str.__add__, map(_token, map(_LAST, lhss)), map(rhs_text.__getitem__, rhss))
+        tails = map(str.__add__, map(_token, lasts), islice(rhss, len(lasts)))
         yield sep + head_text + (",\n" + head_text).join(tails)
         sep = ",\n"
     yield "\n ]\n}"
@@ -466,19 +490,20 @@ def presentation_from_json(text: str) -> Presentation:
     line and column of the first byte that differs from build's text for
     the file's table, coloring and A right sides; a file cut short differs
     where it ends.  No rule record goes through the JSON decoder, and the
-    rules share one tuple per letter.
+    rules share one tuple per letter.  The runs that the generation fills
+    are compared and then kept with the value returned.
     """
     table, coloring = _table_and_coloring(_decode_header(text))
     _check_table_and_coloring(table, coloring)
     pos = _expect(text, 0, _json_header(table, coloring))
-    lhs_map = _rule_map(table, coloring)
+    lhs_map, runs = _rule_map(table, coloring)
     lhs_map.update(_stored_a_right_sides(text, pos, lhs_map, table.n))
-    for part in _json_rules(lhs_map):
+    for part in _json_rules(runs, lhs_map):
         pos = _expect(text, pos, part)
     trailer = text[pos:]
     if trailer.strip(" \t\n\r"):
         raise _differs(text, len(text) - len(trailer.lstrip(" \t\n\r")), "JSON whitespace")
-    return Presentation(table.n, table, coloring, lhs_map)
+    return _with_runs(Presentation(table.n, table, coloring, lhs_map), runs)
 
 
 def _decode_header(text: str):

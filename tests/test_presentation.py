@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import itertools
 import json
 import os
 import random
@@ -35,6 +37,7 @@ from cfmonoid.presentation import (
 )
 from cfmonoid.rewrite import check_local_confluence, normal_form
 from cfmonoid.semigroup import BUILTIN_NAMES, CayleyTable, builtin
+from test_rewrite import _classes
 
 
 def _pres(name):
@@ -399,15 +402,16 @@ _Z8 = generate_presentation(_cyclic(8), build_coloring(8))
     ids=["Z_8", "Z_8-shuffled-0", "Z_8-shuffled-1", "mixed-families", "no-family"],
 )
 def test_runs_write_and_count_any_map_as_the_per_rule_references(q):
-    runs = list(_runs(q.lhs_map))
+    runs = q._runs
+    assert runs == tuple(_runs(q.lhs_map))
     # the runs cover the map in its order, and are maximal
-    assert [rule for _, _, lhss, rhss in runs for rule in zip(lhss, rhss)] == list(q.lhs_map.items())
-    ends = [(head, lhss[0][-1][0], lhss[-1][-1][0]) for _, head, lhss, _ in runs]
+    assert [head + (a,) for _, head, lasts in runs for a in lasts] == list(q.lhs_map)
+    ends = [(head, lasts[0][0], lasts[-1][0]) for _, head, lasts in runs]
     assert all((a[0], a[2]) != (b[0], b[1]) for a, b in zip(ends, ends[1:]))
     # each run shares its head, the role of its last letter and its family
-    for family, head, lhss, rhss in runs:
-        assert len(lhss) == len(rhss) >= 1
-        assert {(_family(lhs), lhs[:-1], lhs[-1][0]) for lhs in lhss} == {(family, head, lhss[0][-1][0])}
+    for family, head, lasts in runs:
+        assert len(lasts) >= 1
+        assert {(_family(head + (a,)), a[0]) for a in lasts} == {(family, lasts[0][0])}
     assert presentation_to_json(q) == _reference_json(q)
     assert rule_counts(q) == _reference_rule_counts(q)
 
@@ -744,6 +748,78 @@ def test_an_a_right_side_of_at_most_one_letter_loads_as_stored(name, rhs):
 @pytest.mark.parametrize("name", ["trivial", "z2", "t2", "Z_8"])
 def test_builds_own_file_loads_as_the_generated_presentation(name, trailer):
     assert presentation_from_json(presentation_to_json(_base(name)) + trailer) == _base(name)
+
+
+def _product(a, b):
+    # the direct product of two tables, the pair (i, j) numbered (i - 1) * b.n + j
+    pairs = list(itertools.product(range(1, a.n + 1), range(1, b.n + 1)))
+    return CayleyTable(
+        a.n * b.n,
+        tuple(tuple((a.mul(i, k) - 1) * b.n + b.mul(j, l) for k, l in pairs) for i, j in pairs),
+    )
+
+
+_RUN_TABLES = {
+    **{name: builtin(name) for name in BUILTIN_NAMES},
+    "Z_8": _cyclic(8),
+    "T_2xZ_2": _product(builtin("t2"), builtin("z2")),
+}
+
+
+@pytest.mark.parametrize(
+    "tables", [*_RUN_TABLES, 1, 2, 3, 4], ids=[*_RUN_TABLES, *(f"order-{n}-classes" for n in range(1, 5))]
+)
+def test_generated_and_loaded_presentations_keep_the_runs_of_their_map(tables):
+    # a name is one table, which also loads with its first A right side
+    # tampered and with it []; an order n is one table per isomorphism class
+    # of the semigroups of order n.  Each presentation, generated or loaded,
+    # keeps the runs that its map cuts into, so the writer and the counts
+    # read them as the per-rule references do
+    named = tables in _RUN_TABLES
+    for rows in [_RUN_TABLES[tables].rows] if named else _classes(tables):
+        p = generate_presentation(CayleyTable(len(rows), rows), build_coloring(len(rows)))
+        texts = [presentation_to_json(p) + "\n"]
+        if named:
+            texts += [_a_rhs(lambda n: ["x1"])(texts[0]), _a_rhs(lambda n: [])(texts[0])]
+        loaded = list(map(presentation_from_json, texts))
+        first = next(iter(p.lhs_map))
+        assert [q.lhs_map[first] for q in loaded] == [p.lhs_map[first], (("x", 1),), EMPTY_WORD][: len(texts)]
+        for q in (p, *loaded):
+            assert "_runs" in vars(q)
+            assert q._runs == tuple(_runs(q.lhs_map))
+            assert presentation_to_json(q) == _reference_json(q)
+            assert rule_counts(q) == _reference_rule_counts(q)
+
+
+def test_only_a_value_made_otherwise_derives_its_runs_on_first_use(monkeypatch):
+    # generation and loading keep the runs they fill, so writing and
+    # counting them derives none; a map built by hand, and a value from
+    # dataclasses.replace, derive theirs once, on first use
+    derived = []
+
+    def counting(lhs_map):
+        derived.append(len(lhs_map))
+        return _runs(lhs_map)
+
+    monkeypatch.setattr(presentation, "_runs", counting)
+    p = _base("Z_8")
+    q = presentation_from_json(presentation_to_json(p))
+    for r in (p, q):
+        presentation_to_json(r)
+        rule_counts(r)
+    assert derived == []
+    made = [
+        Presentation(p.n, p.table, p.coloring, p.lhs_map),
+        _shuffled(p, 0),
+        dataclasses.replace(p),
+        dataclasses.replace(q, lhs_map={**q.lhs_map, (("s", 1), ("s", 1)): EMPTY_WORD}),
+    ]
+    for r in made:
+        assert "_runs" not in vars(r)
+        assert presentation_to_json(r) == _reference_json(r)
+        assert rule_counts(r) == _reference_rule_counts(r)
+        assert r._runs == tuple(_runs(r.lhs_map))
+    assert derived == [len(p.lhs_map)] * len(made)
 
 
 def test_a_load_calls_neither_public_generator_nor_writer(monkeypatch):

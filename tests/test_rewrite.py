@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -735,6 +736,7 @@ def test_every_semigroup_of_order_at_most_3_embeds_in_a_complete_system():
             assert ok, (table, format_word(u), format_word(v), idx, why)
 
 
+@functools.cache
 def _semigroups(n):
     # every associative n x n table, rows of entries in 1..n, found by
     # backtracking over the cells in row-major order: a partial table is cut
@@ -781,6 +783,20 @@ def _relabelled(rows, pi):
     return tuple(tuple(pi[rows[back[i]][back[j]] - 1] for j in range(1, n + 1)) for i in range(1, n + 1))
 
 
+@functools.cache
+def _classes(n):
+    # one table per isomorphism class of the semigroups of order n: each
+    # table of _semigroups(n) that no relabelling of an earlier one gives
+    relabellings = list(itertools.permutations(range(1, n + 1)))
+    classes = []
+    seen = set()
+    for rows in _semigroups(n):
+        if rows not in seen:
+            classes.append(rows)
+            seen.update(_relabelled(rows, pi) for pi in relabellings)
+    return tuple(classes)
+
+
 def test_every_semigroup_of_order_4_up_to_isomorphism_embeds_in_a_complete_system():
     # the backtracking enumerator finds the 1, 8 and 113 tables that the
     # scan above finds at orders 1..3, and 3492 at order 4 (OEIS A023814);
@@ -794,13 +810,8 @@ def test_every_semigroup_of_order_4_up_to_isomorphism_embeds_in_a_complete_syste
     tables = _semigroups(4)
     assert len(tables) == len(set(tables)) == 3492
     relabellings = list(itertools.permutations(range(1, 5)))
-    classes = []
-    seen = set()
-    for rows in tables:
-        if rows not in seen:
-            classes.append(rows)
-            seen.update(_relabelled(rows, pi) for pi in relabellings)
-    assert seen == set(tables)
+    classes = _classes(4)
+    assert {_relabelled(rows, pi) for rows in classes for pi in relabellings} == set(tables)
     assert len(classes) == 188
     anti_classes = 0
     seen = set()
