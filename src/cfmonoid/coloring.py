@@ -146,6 +146,10 @@ def format_coloring(c: Coloring) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a bit row's tokens -> bits; any other token is not a bit
+_BITS = {"0": 0, "1": 1}
+
+
 def parse_coloring(text: str) -> Coloring:
     """Parse the slice-per-block format; n is inferred from the slice count."""
     slices = []
@@ -167,10 +171,10 @@ def parse_coloring(text: str) -> Coloring:
             continue
         if current is None:
             raise ColoringParseError("bit row before any slice header", lineno)
-        parts = line.split()
-        if not set(parts) <= {"0", "1"}:
-            raise ColoringParseError(f"bits must be 0 or 1: {line!r}", lineno)
-        current.append(tuple(map(int, parts)))
+        try:
+            current.append(tuple(map(_BITS.__getitem__, line.split())))
+        except KeyError:
+            raise ColoringParseError(f"bits must be 0 or 1: {line!r}", lineno) from None
     if not slices:
         raise ColoringParseError("no slices found")
     n = len(slices)

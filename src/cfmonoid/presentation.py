@@ -222,11 +222,12 @@ class Presentation:
         """The rules by their last two letters: b -> c -> (the right side of the rule b c, or
         None; {a: the right side of the rule a b c}).
 
-        normal_form and the normal-form walk read it.  It is built on first
-        read, in one pass over lhs_map, and kept with the value (outside its
-        fields, so == and repr do not see it).  A letter that is next to last
-        in no left side has no row, and an entry that ends no 3-letter left
-        side has _NO_RULES as its map.
+        normal_form reads it for words of three or more letters, and the
+        normal-form walk reads it.  It is built on first read, in one pass
+        over lhs_map, and kept with the value (outside its fields, so == and
+        repr do not see it).  A letter that is next to last in no left side
+        has no row, and an entry that ends no 3-letter left side has
+        _NO_RULES as its map.
         """
         rows = defaultdict(dict)
         for lhs, rhs in self.lhs_map.items():
@@ -361,14 +362,30 @@ def _runs(lhs_map):
             yield _family(head + lasts[:1]), head, lasts
 
 
+class _IntTexts(dict):
+    # int -> its text, filled on first use; only exact ints are looked up,
+    # so a bool or another type equal to an int never reads an int's text
+    def __missing__(self, v):
+        text = self[v] = str(v)
+        return text
+
+
+_int_text = _IntTexts().__getitem__
+_INT = {int}
+
+
 def _indented_json(value, depth: int) -> str:
     # json.dumps(value, indent=1) for a sequence whose items are ints or such
     # sequences, written as an item at the given nesting depth; an empty
-    # sequence is "[]"
+    # sequence is "[]".  A sequence of exact ints is written through the
+    # table of int texts, any other item by itself
     if not value:
         return "[]"
     pad = "\n" + " " * (depth + 1)
-    items = [str(v) if isinstance(v, int) else _indented_json(v, depth + 1) for v in value]
+    if _INT.issuperset(map(type, value)):
+        items = map(_int_text, value)
+    else:
+        items = [str(v) if isinstance(v, int) else _indented_json(v, depth + 1) for v in value]
     return f"[{pad}{(',' + pad).join(items)}\n{' ' * depth}]"
 
 

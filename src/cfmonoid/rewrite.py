@@ -4,7 +4,9 @@ The rule left sides, p.lhs_map, are the one definition of the normal-form
 language: a word is a normal form iff none of them occurs in it, and
 normal_form is the only code that applies the rules.  Every rule strictly
 reduces word length, so rewriting terminates in at most |w| steps and local
-confluence of the critical pairs implies confluence.
+confluence of the critical pairs implies confluence.  A word of at most two
+letters is answered from lhs_map; the index of the rules by their last two
+letters is built when a word of three or more letters is first reduced.
 """
 
 from __future__ import annotations
@@ -29,13 +31,21 @@ def normal_form(w: Word, p: Presentation) -> Word:
     two start at the same letter, so even a system that is not confluent
     gets the leftmost strategy's result.
 
-    The rules are read through p's index by last two letters, built on the
-    first call and kept with p, whose rule map is read-only.  The row
-    of the top letter is kept in a local, so a letter c with no entry there
-    costs two lookups of one letter: c in that row, then c's own row, which
-    becomes the top one.  Only on a hit are the top two letters tried, and
-    then the top one.
+    A word of at most two letters holds at most one redex, the word itself,
+    since every left side has 2 or 3 letters; so its normal form is its
+    right side in lhs_map if it is a left side, else the word, as a tuple.
+    That is the pass's answer for any rule map and any letters.
+
+    Longer words read the rules through p's index by last two letters,
+    built on the first reduction of a word of three or more letters and
+    kept with p, whose rule map is read-only.  The row of the top letter is
+    kept in a local, so a letter c with no entry there costs two lookups of
+    one letter: c in that row, then c's own row, which becomes the top one.
+    Only on a hit are the top two letters tried, and then the top one.
     """
+    if len(w) < 3:
+        w = tuple(w)
+        return tuple(p.lhs_map.get(w, w))
     row_of = p._by_last_two.get
     out = []
     push = out.append
@@ -76,9 +86,9 @@ def is_normal_form(w: Word, p: Presentation) -> bool:
     p's letters are alphabet(p.n, include_zero=True); normal_form passes a
     letter outside them through unchanged, so they are checked first.  Every
     rule shortens the word, so a word over them is irreducible iff it is its
-    own normal form.
+    own normal form; w may be any sequence of letters, a list too.
     """
-    return _letter_set(p.n).issuperset(w) and normal_form(w, p) == w
+    return _letter_set(p.n).issuperset(w) and normal_form(w, p) == tuple(w)
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,7 @@ def unit_context(w: Word, p: Presentation):
     the head of Q as x_1 s_j, so x_1 is prepended to the left context and
     the right context ends with the y_k that x_1 s_j gets, f(1, j, k) = 1.
     """
+    w = tuple(w)
     if w == ZERO_WORD:
         raise ValueError("the zero word has no unit context")
     _check_normal(w, p)
@@ -174,10 +175,10 @@ def _x_move(left: Word, right: Word, lx: bool, rx: bool, c: Coloring, m: int):
 def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
     """Derive the collapse pair (1, 0) from the generator pair (u, v).
 
-    Both inputs must be distinct normal forms (the zero word and the empty
-    word are allowed).  Each loop iteration either strictly shrinks the
-    combined length or finishes through a unit context, so the trace length
-    is linear in |u| + |v|.  The cases are tried in the order: one side zero,
+    Both inputs, tuples or lists of letters, must be distinct normal forms
+    (the zero word and the empty word are allowed).  Each loop iteration
+    either strictly shrinks the combined length or finishes through a unit
+    context, so the trace length is linear in |u| + |v|.  The cases are tried in the order: one side zero,
     both sides with x, both with y, one with x, one with y.  A pair with y in
     both sides, or in one side and x in none, is the x case of its mirror
     image.  A pair of the empty word and single s-letters gets x_1 on the
@@ -185,6 +186,7 @@ def collapse(u: Word, v: Word, p: Presentation) -> WitnessTrace:
     (x_1 s_i, x_1 s_j), distinct pairs (C5), and is finished in the same
     round by that pair's right multiplier.
     """
+    u, v = tuple(u), tuple(v)
     if u == v:
         raise ValueError("identical inputs generate no congruence")
     _check_normal(u, p, "left word")

@@ -24,6 +24,7 @@ from cfmonoid.presentation import (
     presentation_from_json,
 )
 from cfmonoid.semigroup import BUILTIN_NAMES, CayleyTable, format_cayley
+from test_rewrite import _normal_form_reference
 
 
 @pytest.fixture
@@ -215,6 +216,46 @@ def test_check_embed_finds_a_tampered_product_below_the_diagonal(tmp_path, capsy
     capsys.readouterr()
     assert main(["check-embed", "--pres", str(out)]) == 1
     assert capsys.readouterr().out == "s3 s1 reduces to s4, table says s3\n"
+
+
+@pytest.mark.parametrize("tamper", [False, True], ids=["clean", "tampered-A"])
+def test_check_embed_leaves_the_rule_index_unbuilt(tmp_path, capsys, monkeypatch, tamper):
+    # check-embed reduces only the words s_i s_j, which normal_form answers
+    # from the rule map, so the loaded value never builds its index; the
+    # verdict is the reference reducer's, on build's file and on one whose A
+    # rules s3 s1 and s2 s2 were given other right sides
+    out = tmp_path / "t2.json"
+    assert main(["build", "--builtin", "t2", "--out", str(out)]) == 0
+    if tamper:
+        data = json.loads(out.read_text())
+        for rule in data["rules"]:
+            if rule["lhs"] == ["s3", "s1"]:
+                rule["rhs"] = ["s4"]
+            elif rule["lhs"] == ["s2", "s2"]:
+                rule["rhs"] = []
+        _write(out, data)
+    loaded = []
+
+    def load(text):
+        loaded.append(presentation_from_json(text))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "presentation_from_json", load)
+    capsys.readouterr()
+    rc = main(["check-embed", "--pres", str(out)])
+    (pres,) = loaded
+    assert "_by_last_two" not in pres.__dict__
+    n = pres.n
+    bad = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            got = _normal_form_reference((("s", i), ("s", j)), pres)
+            want = (("s", pres.table.mul(i, j)),)
+            if got != want:
+                bad.append(f"s{i} s{j} reduces to {format_word(got)}, table says {format_word(want)}\n")
+    assert len(bad) == (2 if tamper else 0)
+    expected = "".join(bad) or f"embedding verified: {n} distinct generators, {n * n} products match the table\n"
+    assert (rc, capsys.readouterr().out) == (1 if bad else 0, expected)
 
 
 def _short_row(data):

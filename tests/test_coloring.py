@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -258,6 +259,11 @@ def test_parse_errors():
         parse_coloring("1 0\n")
     with pytest.raises(ColoringParseError, match="bits must be 0 or 1"):
         parse_coloring("slice 1\n1 2\n0 1\n")
+    # a bit is the token 0 or 1 alone: no run of bits, other digit script,
+    # sign, decimal point or Python literal
+    for bad in ("01", "00", "\u0661", "+1", "-0", "1.0", "True"):
+        with pytest.raises(ColoringParseError, match=re.escape(f"line 3: bits must be 0 or 1: '0 {bad}'")):
+            parse_coloring(f"slice 1\n1 0\n0 {bad}\n")
     with pytest.raises(ColoringParseError, match="must be 2x2"):
         parse_coloring("slice 1\n1 0\n")
     with pytest.raises(ColoringParseError, match="expected 'slice 2'"):

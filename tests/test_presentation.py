@@ -428,6 +428,18 @@ def test_header_writer_matches_indented_json_dumps(value, depth):
     assert _indented_json(value, depth) == expected
 
 
+def test_header_writer_text_does_not_depend_on_earlier_calls(monkeypatch):
+    # ints are written through a table that fills as it goes, but a hand-built
+    # bool entry, equal to 0 or 1, is written by the per-item writer, as str
+    # writes it, whether or not the table holds 1 and 0
+    monkeypatch.setattr(presentation, "_int_text", presentation._IntTexts().__getitem__)
+    values = [[True, False], [True], ((1, True), [0]), [2, 1, 0], ((0, 1), (1, 0))]
+    first = [_indented_json(v, 1) for v in values]
+    assert first[0] == "[\n  True,\n  False\n ]"
+    assert [_indented_json(v, 1) for v in values] == first
+    assert [_indented_json(v, 1) for v in reversed(values)] == first[::-1]
+
+
 def test_json_bytes_match_with_tampered_rule_and_without_rules():
     p = _pres("z2")
     tampered = {**p.lhs_map, (("s", 1), ("s", 1)): (("s", 2),)}

@@ -92,6 +92,11 @@ def test_is_normal_form_examples():
     assert is_normal_form(EMPTY_WORD, p)
     assert is_normal_form(ZERO_WORD, p)
     assert not is_normal_form(parse_word("0 0", 1), p)
+    # a word given as a list is the same word as its tuple
+    z2 = _pres("z2")
+    for text, normal in [("x1 s1", True), ("s1 x1 s1 x2", True), ("1", True), ("s1 s2", False), ("x1 s1 y1", False)]:
+        w = parse_word(text, 2)
+        assert is_normal_form(list(w), z2) is is_normal_form(w, z2) is normal, text
 
 
 @pytest.mark.parametrize(
@@ -245,6 +250,30 @@ def test_letters_outside_the_rules_pass_through():
     for _ in range(300):
         w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
         assert normal_form(w, z2) == _normal_form_reference(w, z2), format_word(w)
+
+
+def test_short_words_are_answered_from_the_rule_map():
+    # a word of at most two letters holds at most one redex, the word itself,
+    # so normal_form answers it from lhs_map without building the index: the
+    # same as the reference on every such word over the alphabet and two
+    # letters outside it, on confluent and tampered systems, tuple or list
+    rng = random.Random(25)
+    presentations = [_pres(name) for name in BUILTIN_NAMES]
+    presentations.append(generate_presentation(_cyclic(8), build_coloring(8)))
+    presentations += [_tampered(p, rng, 6) for p in presentations for _ in range(3)]
+    for p in presentations:
+        letters = alphabet(p.n, include_zero=True) + (("x", p.n + 5), ("q", 1))
+        for length in range(3):
+            for w in itertools.product(letters, repeat=length):
+                want = _normal_form_reference(w, p)
+                assert normal_form(w, p) == want, format_word(w)
+                got = normal_form(list(w), p)
+                assert type(got) is tuple and got == want, format_word(w)
+                assert is_normal_form(list(w), p) == is_normal_form(w, p)
+        assert "_by_last_two" not in p.__dict__
+        w = (("s", 1),) * 3
+        assert normal_form(w, p) == _normal_form_reference(w, p)
+        assert "_by_last_two" in p.__dict__
 
 
 def test_each_presentation_reduces_with_its_own_rules():

@@ -103,6 +103,13 @@ def test_unit_context_examples():
     # trailing x1 needs y-index 1: f(1, 1, 1) = 1
     assert unit_context(parse_word("x1", 1), p) == (EMPTY_WORD, parse_word("s1 y1", 1))
     assert unit_context(EMPTY_WORD, p) == (EMPTY_WORD, EMPTY_WORD)
+    # a word given as a list has the context of its tuple
+    z2 = _pres("z2")
+    for text in ("x1 s1", "y2 s1 x3", "1"):
+        w = parse_word(text, 2)
+        assert unit_context(list(w), z2) == unit_context(w, z2), text
+    with pytest.raises(ValueError, match="zero word has no unit context"):
+        unit_context(list(ZERO_WORD), z2)
 
 
 def test_unit_context_rejects_zero_and_reducible():
@@ -148,6 +155,13 @@ def test_collapse_x1_x2_trace():
     assert tr.steps[1].move == ("MULR", parse_word("s1 y1", 1))
     assert tr.steps[1].pair == (parse_word("x1 s1 y1", 1), parse_word("x2 s1 y1", 1))
     assert tr.steps[2].pair == (EMPTY_WORD, ZERO_WORD)
+    # a pair of lists gives the trace of the pair of tuples
+    z2 = _pres("z2")
+    for u, v in [("x1 s1", "s1"), ("x1", "x2"), ("1", "0"), ("y2 s1", "x3 s2")]:
+        u, v = parse_word(u, 2), parse_word(v, 2)
+        assert collapse(list(u), list(v), z2) == collapse(u, v, z2)
+    with pytest.raises(ValueError, match="identical inputs"):
+        collapse(list(u), u, z2)
 
 
 def test_collapse_identity_vs_generator():
