@@ -7,8 +7,9 @@ length-reducing; Presentation stores them once, as a map from left side to
 right side, and accepts only left sides of 2 or 3 letters and right sides of
 at most 1, the shapes the rewriting engine is built for.  The roles of a left
 side's letters fix its family (_FAMILY_OF_SHAPE), and the family fixes its
-right side (_right_side); the two are the one definition of the rule set,
-which the generator reads, and the loader through the generator's text:
+right sides (_right_sides, a whole shape's at once); the two are the one
+definition of the rule set, which the generator reads, and the loader
+through the generator's text:
 
   A:       s_i s_j     -> s_{t(i,j)}   (the Cayley table)
   B:       x_i s_j y_k -> 1 or 0       (the coloring decides)
@@ -23,8 +24,9 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby, islice, product
-from operator import itemgetter
+from itertools import chain, groupby, islice, product, repeat
+from math import prod
+from operator import getitem, itemgetter
 from types import MappingProxyType
 
 from .coloring import Coloring, check_conditions, conditions_ok
@@ -257,19 +259,19 @@ class Presentation:
         return tuple(_runs(self.lhs_map))
 
 
-def _right_side(family: str, head: Word, table: CayleyTable, coloring: Coloring) -> list:
-    # the construction's right sides of one block of a family's left sides:
-    # head followed by each letter of the last letter's role, in index order.
-    # For A (head s_i) the products s_t(i, k) from the table's row, for B
-    # (head x_i s_j) the coloring's bits f(i, j, k) through _B_RHS, and 0 for
-    # the rest; the list may be longer than the block
+def _right_sides(family: str, table: CayleyTable, coloring: Coloring, count: int):
+    # the construction's right sides of a shape's count left sides, in
+    # lexicographic order of the left sides: for A (s_i s_j) the products
+    # s_t(i, j), the table's rows flattened through the tuple (None, (s_1,),
+    # ..., (s_n,)), as entries count from 1; for B (x_i s_j y_k) the
+    # coloring's bits f(i, j, k), flattened in (i, j, k) order, through
+    # _B_RHS; and 0 for the rest
     if family == "A":
-        letters = _letters(table.n)
-        return [(letters[f"s{k}"],) for k in table.rows[head[0][1] - 1]]
+        products = (None, *((a,) for a in _letters(table.n).values() if a[0] == "s"))
+        return map(products.__getitem__, chain.from_iterable(table.rows))
     if family == "B":
-        (_, i), (_, j) = head
-        return list(map(_B_RHS.__getitem__, coloring.bits[i - 1][j - 1]))
-    return [ZERO_WORD] * (table.n + 1)
+        return map(_B_RHS.__getitem__, chain.from_iterable(chain.from_iterable(coloring.bits)))
+    return repeat(ZERO_WORD, count)
 
 
 def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
@@ -281,24 +283,25 @@ def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
 def _rule_map(table: CayleyTable, coloring: Coloring) -> tuple:
     """One rule per left side of each shape, in the order of _FAMILY_OF_SHAPE, and the runs that hold them.
 
-    Each shape's left sides come in lexicographic order, one run per head
-    (all letters but the last): the run's left sides are the head followed
-    by each letter of the last role, zipped with _right_side's list for
-    that head, so no Python code runs per rule.  Returns the map and the
-    list of its runs as Presentation._runs holds them; the runs of a shape
-    share one tuple of last letters.  All words share one tuple per letter:
-    the letters of _letters(n), which the A right sides that the loader
-    reads share too.
+    Each shape is filled in one C-level update: its left sides, the product
+    of the letters of each role in lexicographic order, zipped with
+    _right_sides for its family, so no Python code runs per rule or per
+    head.  The zip is strict, so a table or coloring of the wrong shape
+    raises ValueError rather than shifting the right sides.  The runs, one
+    per head (all letters but the last), are zipped the same way.  Returns
+    the map and the list of its runs as Presentation._runs holds them; the
+    runs of a shape share one tuple of last letters.  All words share one
+    tuple per letter: the letters of _letters(n), which the A right sides
+    that the loader reads share too.
     """
     letters = _letters(table.n).values()
     of_role = {role: tuple(a for a in letters if a[0] == role) for role in "sxyz"}
     lhs_map, runs = {}, []
     for shape, family in _FAMILY_OF_SHAPE.items():
-        lasts = of_role[shape[-1]]
-        tails = [(a,) for a in lasts]
-        for head in product(*[of_role[role] for role in shape[:-1]]):
-            lhs_map.update(zip(map(head.__add__, tails), _right_side(family, head, table, coloring)))
-            runs.append((family, head, lasts))
+        roles = [of_role[role] for role in shape]
+        count = prod(map(len, roles))
+        lhs_map.update(zip(product(*roles), _right_sides(family, table, coloring, count), strict=True))
+        runs += zip(repeat(family), product(*roles[:-1]), repeat(roles[-1]))
     return lhs_map, runs
 
 
@@ -309,11 +312,20 @@ def _with_runs(p: Presentation, runs) -> Presentation:
 
 
 def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
-    # the construction's inputs: one order, an associative table (else
+    # the construction's inputs: one order, an n x n table and an
+    # (n+1) x n x (n+1) coloring (else ValueError, checked by C-level loops
+    # over the lengths before any entry is read), an associative table (else
     # NotAssociativeError) and a coloring that passes C1..C6 (else
     # ColoringConditionError with the full report)
-    if table.n != coloring.n:
-        raise ValueError(f"order mismatch: table n={table.n}, coloring n={coloring.n}")
+    n = table.n
+    if n != coloring.n:
+        raise ValueError(f"order mismatch: table n={n}, coloring n={coloring.n}")
+    if len(table.rows) != n or not set(map(len, table.rows)) <= {n}:
+        raise ValueError(f"table must be a {n}x{n} array")
+    bits = coloring.bits
+    fibers = chain.from_iterable(bits)
+    if len(bits) != n + 1 or not set(map(len, bits)) <= {n} or not set(map(len, fibers)) <= {n + 1}:
+        raise ValueError(f"coloring must be a {n + 1}x{n}x{n + 1} array")
     ok, triple = is_associative(table)
     if not ok:
         raise NotAssociativeError(triple)
@@ -325,10 +337,13 @@ def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
 def generate_presentation(table: CayleyTable, coloring: Coloring) -> Presentation:
     """Generate the full rule set for an associative table and a valid coloring.
 
-    A table and coloring of different orders raise ValueError, a
-    non-associative table NotAssociativeError and a coloring that fails
-    C1..C6 ColoringConditionError.  Rules come family by family in the order
-    of RULE_FAMILIES, each family's left sides in lexicographic order.
+    A table and coloring of different orders raise ValueError, as do a
+    table that is not n x n ("table must be a 2x2 array" at n=2) and a
+    coloring that is not (n+1) x n x (n+1) ("coloring must be a 3x2x3
+    array"); then a non-associative table raises NotAssociativeError and a
+    coloring that fails C1..C6 ColoringConditionError.  Rules come family
+    by family in the order of RULE_FAMILIES, each family's left sides in
+    lexicographic order.
     """
     _check_table_and_coloring(table, coloring)
     return _generate_unchecked(table, coloring)
@@ -378,14 +393,15 @@ def _indented_json(value, depth: int) -> str:
     # json.dumps(value, indent=1) for a sequence whose items are ints or such
     # sequences, written as an item at the given nesting depth; an empty
     # sequence is "[]".  A sequence of exact ints is written through the
-    # table of int texts, any other item by itself
+    # table of int texts, any other item by itself: a bool or another int
+    # subclass as json.dumps writes it (True is true), a sequence nested
     if not value:
         return "[]"
     pad = "\n" + " " * (depth + 1)
     if _INT.issuperset(map(type, value)):
         items = map(_int_text, value)
     else:
-        items = [str(v) if isinstance(v, int) else _indented_json(v, depth + 1) for v in value]
+        items = [json.dumps(v) if isinstance(v, int) else _indented_json(v, depth + 1) for v in value]
     return f"[{pad}{(',' + pad).join(items)}\n{' ' * depth}]"
 
 
@@ -401,9 +417,11 @@ def presentation_to_json(p: Presentation) -> str:
     writer of the same layout, and the rules are written run by run
     (p._runs, kept from generation): the text that a run's rules share, up
     to the last token of the left side, is made once and joined over the
-    run's tails, each the last token and the right side's text.  Family names and tokens are plain
-    identifiers that JSON quotes as they are, a left side of no family is
-    labelled null, and tokens come from the table that format_word uses.
+    run's tails, each the last token and the right side's text, which come
+    from a table per tuple of last letters made once per call.  Family
+    names and tokens are plain identifiers that JSON quotes as they are, a
+    left side of no family is labelled null, and tokens come from the table
+    that format_word uses.
     presentation_from_json compares a file with these same pieces, so the
     layout has one definition.
     """
@@ -432,25 +450,53 @@ def _json_word(w: Word) -> str:
 _RHS_KEY = '"rhs": '
 
 
+class _Tails(dict):
+    # right side -> the tails of the rules with that right side over one
+    # tuple of last letters: each letter's token followed by the right
+    # side's text, as _json_rules joins them; filled on first use
+    def __init__(self, lasts):
+        super().__init__()
+        self.tokens = tuple(map(_token, lasts))
+
+    def __missing__(self, rhs):
+        text = f'"\n   ],\n   {_RHS_KEY}{_json_word(rhs)}\n  }}'
+        tails = self[rhs] = tuple(tok + text for tok in self.tokens)
+        return tails
+
+
+class _TailTables(dict):
+    # tuple of last letters -> its _Tails, filled on first use
+    def __missing__(self, lasts):
+        tails = self[lasts] = _Tails(lasts)
+        return tails
+
+
 def _json_rules(runs, lhs_map):
     # presentation_to_json's text after _json_header, in pieces: one per run
     # (runs cut lhs_map as Presentation._runs does) with the separator
-    # before it, then the close.  A rule's text is its run's head text, the
-    # token of its last letter and the text of its right side, which is
-    # made once per distinct right side
+    # before it, then the close.  A rule's text is its run's head text
+    # followed by its tail: the token of its last letter and the text of its
+    # right side.  The tails come from one table per tuple of last letters,
+    # made for this call: a run picks the tail of its i-th rule from the
+    # i-th place of its right side's entry, so no string is built per rule
     if not lhs_map:
         yield ' "rules": []\n}'
         return
-    rhs_text = {rhs: f'"\n   ],\n   {_RHS_KEY}{_json_word(rhs)}\n  }}' for rhs in set(lhs_map.values())}
-    rhss = map(rhs_text.__getitem__, lhs_map.values())
+    rhss = iter(lhs_map.values())
+    tables, lasts_before = _TailTables(), None
     sep = ' "rules": [\n'
     for family, head, lasts in runs:
         label = "null" if family is None else f'"{family}"'
         head_text = f'  {{\n   "family": {label},\n   "lhs": [\n    "' + "".join(
             f'{_token(a)}",\n    "' for a in head
         )
-        tails = map(str.__add__, map(_token, lasts), islice(rhss, len(lasts)))
-        yield sep + head_text + (",\n" + head_text).join(tails)
+        # consecutive runs mostly share their tuple of last letters, so the
+        # table is looked up only when the tuple changes
+        if lasts is not lasts_before:
+            tails, lasts_before = tables[lasts], lasts
+        k = len(lasts)
+        texts = map(getitem, map(tails.__getitem__, islice(rhss, k)), range(k))
+        yield sep + head_text + (",\n" + head_text).join(texts)
         sep = ",\n"
     yield "\n ]\n}"
 

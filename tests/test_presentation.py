@@ -25,6 +25,7 @@ from cfmonoid.presentation import (
     _generate_unchecked,
     _indented_json,
     _parse_token,
+    _rule_map,
     _runs,
     _token,
     alphabet,
@@ -430,12 +431,12 @@ def test_header_writer_matches_indented_json_dumps(value, depth):
 
 def test_header_writer_text_does_not_depend_on_earlier_calls(monkeypatch):
     # ints are written through a table that fills as it goes, but a hand-built
-    # bool entry, equal to 0 or 1, is written by the per-item writer, as str
-    # writes it, whether or not the table holds 1 and 0
+    # bool entry, equal to 0 or 1, is written by the per-item writer, as
+    # json.dumps writes it, whether or not the table holds 1 and 0
     monkeypatch.setattr(presentation, "_int_text", presentation._IntTexts().__getitem__)
     values = [[True, False], [True], ((1, True), [0]), [2, 1, 0], ((0, 1), (1, 0))]
     first = [_indented_json(v, 1) for v in values]
-    assert first[0] == "[\n  True,\n  False\n ]"
+    assert first[0] == "[\n  true,\n  false\n ]"
     assert [_indented_json(v, 1) for v in values] == first
     assert [_indented_json(v, 1) for v in reversed(values)] == first[::-1]
 
@@ -801,6 +802,117 @@ def test_generated_and_loaded_presentations_keep_the_runs_of_their_map(tables):
             assert q._runs == tuple(_runs(q.lhs_map))
             assert presentation_to_json(q) == _reference_json(q)
             assert rule_counts(q) == _reference_rule_counts(q)
+        # the same rules in a seeded shuffle, one rule per run, are written
+        # through the same tail tables
+        for seed, q in enumerate((p, *loaded)):
+            r = _shuffled(q, seed)
+            assert presentation_to_json(r) == _reference_json(r)
+
+
+def _reference_rule_map(table, coloring):
+    # the construction rule by rule, the reference for _rule_map's per-shape
+    # fill: each shape of _FAMILY_OF_SHAPE in its order, the left sides in
+    # lexicographic order, each right side read from the table's entry
+    # t(i, j) or the coloring's closed form f(i, j, k); and one run per head
+    n = table.n
+    of_role = {role: tuple(a for a in alphabet(n, include_zero=True) if a[0] == role) for role in "sxyz"}
+    items, runs = [], []
+    for shape, family in presentation._FAMILY_OF_SHAPE.items():
+        lasts = of_role[shape[-1]]
+        for head in itertools.product(*(of_role[role] for role in shape[:-1])):
+            runs.append((family, head, lasts))
+            for lhs in (head + (a,) for a in lasts):
+                if family == "A":
+                    rhs = (("s", table.mul(lhs[0][1], lhs[1][1])),)
+                elif family == "B":
+                    bit = coloring_entry(n, lhs[0][1], lhs[1][1], lhs[2][1])
+                    assert coloring.get(lhs[0][1], lhs[1][1], lhs[2][1]) == bit
+                    rhs = EMPTY_WORD if bit else ZERO_WORD
+                else:
+                    rhs = ZERO_WORD
+                items.append((lhs, rhs))
+    return items, runs
+
+
+@pytest.mark.parametrize("tables", [*_RUN_TABLES, 4], ids=[*_RUN_TABLES, "order-4-classes"])
+def test_each_shape_is_filled_as_the_per_rule_reference(tables):
+    # a name is one table, 4 one table per isomorphism class of order 4; the
+    # non-commutative tables among them tell a row from a column, and the
+    # coloring's fibers f(i, j, .) for i != j tell (i, j, k) from (j, i, k)
+    rows_of = [_RUN_TABLES[tables].rows] if tables in _RUN_TABLES else _classes(tables)
+    for rows in rows_of:
+        table = CayleyTable(len(rows), rows)
+        coloring = build_coloring(table.n)
+        lhs_map, runs = _rule_map(table, coloring)
+        items, reference_runs = _reference_rule_map(table, coloring)
+        assert list(lhs_map.items()) == items
+        assert runs == reference_runs
+
+
+_Z2 = builtin("z2")
+_Z2_COLORING = build_coloring(2)
+_BAD_SHAPES = {
+    "extra-table-row": (CayleyTable(2, _Z2.rows + ((1, 2),)), _Z2_COLORING, "table must be a 2x2 array"),
+    "long-table-row": (CayleyTable(2, (_Z2.rows[0] + (1,), _Z2.rows[1])), _Z2_COLORING, "table must be a 2x2 array"),
+    "short-table": (CayleyTable(2, _Z2.rows[:1]), _Z2_COLORING, "table must be a 2x2 array"),
+    "long-coloring-fiber": (
+        _Z2,
+        Coloring(2, ((_Z2_COLORING.bits[0][0] + (0,), _Z2_COLORING.bits[0][1]), *_Z2_COLORING.bits[1:])),
+        "coloring must be a 3x2x3 array",
+    ),
+    "extra-coloring-plane": (
+        _Z2,
+        Coloring(2, _Z2_COLORING.bits + _Z2_COLORING.bits[:1]),
+        "coloring must be a 3x2x3 array",
+    ),
+    "extra-coloring-row": (
+        _Z2,
+        Coloring(2, tuple(plane + plane[:1] for plane in _Z2_COLORING.bits)),
+        "coloring must be a 3x2x3 array",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_SHAPES)
+def test_a_table_or_coloring_of_the_wrong_shape_generates_nothing(case):
+    # each raises its ValueError before any entry is read (an extra row or a
+    # long fiber once gave 48 rules, a long row or an extra plane an
+    # IndexError); the fill itself, unchecked, refuses the wrong number of
+    # right sides rather than shifting them
+    table, coloring, message = _BAD_SHAPES[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_presentation(table, coloring)
+    with pytest.raises(ValueError, match="zip"):
+        _rule_map(table, coloring)
+
+
+def test_the_rules_text_of_a_call_does_not_depend_on_earlier_calls():
+    # the tail tables are made per call: values of several orders, loaded
+    # with foreign A right sides and shuffled, written in one order and in
+    # the reverse order, give the same texts, each the reference's
+    z8 = _base("Z_8")
+    tampered = presentation_from_json(_a_rhs(lambda n: ["x1"])(_build_file("z2")))
+    values = [_pres("trivial"), z8, tampered, _pres("t2"), _shuffled(z8, 3), _shuffled(tampered, 4)]
+    first = list(map(presentation_to_json, values))
+    assert first == list(map(_reference_json, values))
+    assert list(map(presentation_to_json, reversed(values))) == first[::-1]
+
+
+def _with_bool_bits(p):
+    # p's coloring with each bit as the bool it equals, as a caller may build it
+    bits = tuple(tuple(tuple(map(bool, fiber)) for fiber in plane) for plane in p.coloring.bits)
+    return generate_presentation(p.table, Coloring(p.n, bits))
+
+
+@pytest.mark.parametrize("name", ["trivial", "z2"])
+def test_bool_entries_are_written_as_json_and_refused_on_load(name):
+    q = _with_bool_bits(_pres(name))
+    text = presentation_to_json(q)
+    assert json.loads(text)["coloring"] == [[list(f) for f in plane] for plane in q.coloring.bits]
+    assert text == _reference_json(q)
+    assert '"coloring": [\n  [\n   [\n    true,' in text
+    with pytest.raises(ValueError, match="^invalid presentation file: coloring entry True is not an integer in 0..1$"):
+        presentation_from_json(text)
 
 
 def test_only_a_value_made_otherwise_derives_its_runs_on_first_use(monkeypatch):
