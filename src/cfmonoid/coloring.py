@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
+from .semigroup import _check_int_array
+
 CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6")
 
 
@@ -26,16 +28,19 @@ class ColoringParseError(ValueError):
 class Coloring:
     """Boolean function on (x-index, s-index, y-index) triples.
 
-    x- and y-indices run over 1..n+1, the s-index over 1..n.
+    x- and y-indices run over 1..n+1, the s-index over 1..n.  n is an int
+    >= 1 and bits (n+1) x n x (n+1) nested lists or tuples of the ints 0 and
+    1, stored as tuples; else ValueError: "n must be a positive integer, got
+    0", "coloring must be a 3x2x3 array" or "coloring entry True is not an
+    integer in 0..1".
     """
 
     n: int
     bits: tuple  # bits[i-1][j-1][k-1]
 
-    def get(self, i: int, j: int, k: int) -> int:
-        if not (1 <= i <= self.n + 1 and 1 <= j <= self.n and 1 <= k <= self.n + 1):
-            raise IndexError(f"coloring index ({i}, {j}, {k}) out of range for n={self.n}")
-        return self.bits[i - 1][j - 1][k - 1]
+    def __post_init__(self):
+        _check_int_array("coloring", self.n, self.bits, (1, 0, 1), 0, 1)
+        object.__setattr__(self, "bits", tuple(tuple(map(tuple, plane)) for plane in self.bits))
 
 
 def _shift(col):
@@ -51,8 +56,6 @@ def build_coloring(n: int) -> Coloring:
     j ones followed by zeros; every later column is the cyclic shift of the
     previous one.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
     size = n + 1
     slices = []  # slices[j-1][i-1][k-1]
     for j in range(1, n + 1):
@@ -62,14 +65,8 @@ def build_coloring(n: int) -> Coloring:
             col = _shift(col)
             cols.append(col)
         slices.append(tuple(zip(*cols)))  # the columns transposed into rows
-    return _from_slices(slices)
-
-
-def _from_slices(slices) -> Coloring:
-    # slices[j-1][i-1][k-1], one (n+1) x (n+1) slice per s-index j, as the
-    # coloring with bits[i-1][j-1][k-1]
-    n = len(slices)
-    return Coloring(n, tuple(tuple(tuple(s[i]) for s in slices) for i in range(n + 1)))
+    # slices[j-1][i-1][k-1] transposed into bits[i-1][j-1][k-1]
+    return Coloring(n, tuple(zip(*slices)))
 
 
 def coloring_entry(n: int, i: int, j: int, k: int) -> int:
@@ -182,4 +179,4 @@ def parse_coloring(text: str) -> Coloring:
     for j, block in enumerate(slices, start=1):
         if len(block) != size or any(len(row) != size for row in block):
             raise ColoringParseError(f"slice {j} must be {size}x{size} for n={n}")
-    return _from_slices(slices)
+    return Coloring(n, tuple(zip(*slices)))

@@ -312,20 +312,12 @@ def _with_runs(p: Presentation, runs) -> Presentation:
 
 
 def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
-    # the construction's inputs: one order, an n x n table and an
-    # (n+1) x n x (n+1) coloring (else ValueError, checked by C-level loops
-    # over the lengths before any entry is read), an associative table (else
+    # the construction's inputs, values that checked their own shapes and
+    # entries: one order (else ValueError), an associative table (else
     # NotAssociativeError) and a coloring that passes C1..C6 (else
     # ColoringConditionError with the full report)
-    n = table.n
-    if n != coloring.n:
-        raise ValueError(f"order mismatch: table n={n}, coloring n={coloring.n}")
-    if len(table.rows) != n or not set(map(len, table.rows)) <= {n}:
-        raise ValueError(f"table must be a {n}x{n} array")
-    bits = coloring.bits
-    fibers = chain.from_iterable(bits)
-    if len(bits) != n + 1 or not set(map(len, bits)) <= {n} or not set(map(len, fibers)) <= {n + 1}:
-        raise ValueError(f"coloring must be a {n + 1}x{n}x{n + 1} array")
+    if table.n != coloring.n:
+        raise ValueError(f"order mismatch: table n={table.n}, coloring n={coloring.n}")
     ok, triple = is_associative(table)
     if not ok:
         raise NotAssociativeError(triple)
@@ -337,13 +329,11 @@ def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
 def generate_presentation(table: CayleyTable, coloring: Coloring) -> Presentation:
     """Generate the full rule set for an associative table and a valid coloring.
 
-    A table and coloring of different orders raise ValueError, as do a
-    table that is not n x n ("table must be a 2x2 array" at n=2) and a
-    coloring that is not (n+1) x n x (n+1) ("coloring must be a 3x2x3
-    array"); then a non-associative table raises NotAssociativeError and a
-    coloring that fails C1..C6 ColoringConditionError.  Rules come family
-    by family in the order of RULE_FAMILIES, each family's left sides in
-    lexicographic order.
+    The two values checked their shapes and entries when made.  A table and
+    coloring of different orders raise ValueError; then a non-associative
+    table raises NotAssociativeError and a coloring that fails C1..C6
+    ColoringConditionError.  Rules come family by family in the order of
+    RULE_FAMILIES, each family's left sides in lexicographic order.
     """
     _check_table_and_coloring(table, coloring)
     return _generate_unchecked(table, coloring)
@@ -378,30 +368,26 @@ def _runs(lhs_map):
 
 
 class _IntTexts(dict):
-    # int -> its text, filled on first use; only exact ints are looked up,
-    # so a bool or another type equal to an int never reads an int's text
+    # int -> its text, filled on first use
     def __missing__(self, v):
         text = self[v] = str(v)
         return text
 
 
 _int_text = _IntTexts().__getitem__
-_INT = {int}
 
 
 def _indented_json(value, depth: int) -> str:
-    # json.dumps(value, indent=1) for a sequence whose items are ints or such
-    # sequences, written as an item at the given nesting depth; an empty
-    # sequence is "[]".  A sequence of exact ints is written through the
-    # table of int texts, any other item by itself: a bool or another int
-    # subclass as json.dumps writes it (True is true), a sequence nested
+    # json.dumps(value, indent=1) for the exact ints of a CayleyTable or a
+    # Coloring, or nested sequences of them, written as an item at the given
+    # nesting depth through the table of int texts; an empty sequence is "[]"
     if not value:
         return "[]"
     pad = "\n" + " " * (depth + 1)
-    if _INT.issuperset(map(type, value)):
+    if type(value[0]) is int:
         items = map(_int_text, value)
     else:
-        items = [json.dumps(v) if isinstance(v, int) else _indented_json(v, depth + 1) for v in value]
+        items = [_indented_json(v, depth + 1) for v in value]
     return f"[{pad}{(',' + pad).join(items)}\n{' ' * depth}]"
 
 
@@ -501,24 +487,10 @@ def _json_rules(runs, lhs_map):
     yield "\n ]\n}"
 
 
-def _int_array(value, shape: tuple, lo: int, hi: int, name: str) -> tuple:
-    """Nested lists of exactly the given shape with integer entries in lo..hi, as tuples."""
-    if not isinstance(value, list) or len(value) != shape[0]:
-        dims = "x".join(map(str, shape))
-        raise ValueError(f"invalid presentation file: {name} must be a {dims} array")
-    if len(shape) > 1:
-        return tuple(_int_array(v, shape[1:], lo, hi, name) for v in value)
-    for v in value:
-        if type(v) is not int or not lo <= v <= hi:
-            raise ValueError(f"invalid presentation file: {name} entry {v!r} is not an integer in {lo}..{hi}")
-    return tuple(value)
-
-
 def _table_and_coloring(data) -> tuple:
     # the table and coloring of a decoded header, before
     # _check_table_and_coloring: an object with a rules field and, before it,
-    # the fields n, table and coloring, n >= 1, the table n x n with entries
-    # in 1..n and the coloring (n+1) x n x (n+1) with entries 0 or 1 (else
+    # the fields n, table and coloring of a CayleyTable and a Coloring (else
     # ValueError).  _decode_header decodes only the text before "rules", so a
     # field after it is missing from data
     if type(data) is not dict:
@@ -528,24 +500,22 @@ def _table_and_coloring(data) -> tuple:
     for key in ("n", "table", "coloring"):
         if key not in data:
             raise ValueError(f"invalid presentation file: no field {key!r} before \"rules\"")
-    n = data["n"]
-    if type(n) is not int or n < 1:
-        raise ValueError(f"invalid presentation file: n must be a positive integer, got {n!r}")
-    table = CayleyTable(n, _int_array(data["table"], (n, n), 1, n, "table"))
-    coloring = Coloring(n, _int_array(data["coloring"], (n + 1, n, n + 1), 0, 1, "coloring"))
-    return table, coloring
+    try:
+        return CayleyTable(data["n"], data["table"]), Coloring(data["n"], data["coloring"])
+    except ValueError as e:
+        raise ValueError(f"invalid presentation file: {e}") from None
 
 
 def presentation_from_json(text: str) -> Presentation:
     """Load a presentation file, which must be build's text for its own table and coloring.
 
     Only the header, the text before "rules", is decoded.  It is checked in
-    this order, and the first failure raises: n >= 1, the table n x n with
-    entries in 1..n and the coloring (n+1) x n x (n+1) with entries 0 or 1
-    (ValueError); the table must be associative (NotAssociativeError) and
-    the coloring must pass C1..C6 (ColoringConditionError), whatever the
-    rules hold.  The rules are then generated as build generates them, and
-    the rest of the file must be their text, byte for byte, followed by JSON
+    this order, and the first failure raises: n, table and coloring must
+    make a CayleyTable and a Coloring (ValueError, their message after
+    "invalid presentation file: "); the table must be associative
+    (NotAssociativeError) and the coloring must pass C1..C6
+    (ColoringConditionError), whatever the rules hold.  The rules are then
+    generated as build generates them, and the rest of the file must be their text, byte for byte, followed by JSON
     whitespace alone.  The one thing a file may vary is the right side of
     each A rule: [] or one token of the alphabet, decoded through the token
     table that parse_word uses and loaded as stored, for check-complete and

@@ -3,7 +3,26 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
+
+
+def _check_int_array(name: str, n, value, pad: tuple, lo: int, hi) -> None:
+    # ValueError unless n is an exact int >= 1 and value nested lists or
+    # tuples of shape n + p for each p of pad, every entry an exact int in
+    # lo..hi.  The tests are set tests over C-level iterators; only a failed
+    # one runs Python code per entry, to name the first bad one
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    shape = tuple(n + p for p in pad)
+    level = (value,)
+    for size in shape:
+        if not {list, tuple}.issuperset(map(type, level)) or not set(map(len, level)) <= {size}:
+            raise ValueError(f"{name} must be a {'x'.join(map(str, shape))} array")
+        level = tuple(chain.from_iterable(level))
+    if not ({int}.issuperset(map(type, level)) and set(range(lo, hi + 1)).issuperset(level)):
+        v = next(v for v in level if type(v) is not int or not lo <= v <= hi)
+        raise ValueError(f"{name} entry {v!r} is not an integer in {lo}..{hi}")
 
 
 class CayleyParseError(ValueError):
@@ -16,10 +35,20 @@ class CayleyParseError(ValueError):
 
 @dataclass(frozen=True)
 class CayleyTable:
-    """Multiplication table of a finite semigroup, 1-based throughout."""
+    """Multiplication table of a finite semigroup, 1-based throughout.
+
+    n is an int >= 1 and rows n lists or tuples of n ints in 1..n, stored as
+    tuples; else ValueError: "table must be a 2x2 array", "table entry 3 is
+    not an integer in 1..2" (a bool or float too), "n must be a positive
+    integer, got 0".
+    """
 
     n: int
     rows: tuple  # n tuples of n entries, each in 1..n
+
+    def __post_init__(self):
+        _check_int_array("table", self.n, self.rows, (0, 0), 1, self.n)
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
 
     def mul(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
@@ -100,7 +129,7 @@ def is_associative(t: CayleyTable):
     for i, row_i in enumerate(rows, 1):
         padded = (None, *row_i)
         for j, ij in enumerate(row_i, 1):
-            row_ij, right = tuple(rows[ij - 1]), by_row[j - 1](padded)
+            row_ij, right = rows[ij - 1], by_row[j - 1](padded)
             if right != row_ij:
                 k = next(k for k, (a, b) in enumerate(zip(row_ij, right), 1) if a != b)
                 return False, (i, j, k)

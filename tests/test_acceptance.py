@@ -24,6 +24,7 @@ from cfmonoid.rewrite import (
 )
 from cfmonoid.semigroup import BUILTIN_NAMES, CayleyTable, builtin, is_associative
 from cfmonoid.witness import collapse, unit_context, verify_trace
+from test_coloring import _bit
 
 TERMINAL = ((EMPTY_WORD, ZERO_WORD), (ZERO_WORD, EMPTY_WORD))
 
@@ -54,17 +55,17 @@ def test_criterion_1_coloring_conditions():
 def test_criterion_2_third_slice_matrix():
     c = build_coloring(8)
     pattern_ok = all(
-        c.get(i, 3, k) == (1 if (i - k) % 9 in (0, 1, 2) else 0)
+        _bit(c, i, 3, k) == (1 if (i - k) % 9 in (0, 1, 2) else 0)
         for i in range(1, 10)
         for k in range(1, 10)
     )
     corners = [
-        c.get(1, 3, 1) == 1,
-        c.get(1, 3, 2) == 0,
-        c.get(1, 3, 8) == 1,
-        c.get(1, 3, 9) == 1,
-        c.get(4, 3, 1) == 0,
-        c.get(9, 3, 9) == 1,
+        _bit(c, 1, 3, 1) == 1,
+        _bit(c, 1, 3, 2) == 0,
+        _bit(c, 1, 3, 8) == 1,
+        _bit(c, 1, 3, 9) == 1,
+        _bit(c, 4, 3, 1) == 0,
+        _bit(c, 9, 3, 9) == 1,
     ]
     _report(2, pattern_ok and all(corners), "slice 3 of n=8 matches the displayed matrix pattern")
 
@@ -76,7 +77,7 @@ def test_criterion_3_oracle_equivalence():
         for i in range(1, n + 2):
             for j in range(1, n + 1):
                 for k in range(1, n + 2):
-                    if c.get(i, j, k) != coloring_entry(n, i, j, k):
+                    if _bit(c, i, j, k) != coloring_entry(n, i, j, k):
                         ok = False
     _report(3, ok, "construction equals closed form for all n<=8, all indices")
 

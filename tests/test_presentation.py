@@ -4,8 +4,9 @@ import itertools
 import json
 import os
 import random
+import re
 from collections import Counter
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
@@ -38,6 +39,7 @@ from cfmonoid.presentation import (
 )
 from cfmonoid.rewrite import check_local_confluence, normal_form
 from cfmonoid.semigroup import BUILTIN_NAMES, CayleyTable, builtin
+from test_coloring import _bit
 from test_rewrite import _classes
 
 
@@ -419,7 +421,7 @@ def test_runs_write_and_count_any_map_as_the_per_rule_references(q):
 
 @pytest.mark.parametrize(
     "value",
-    [[], (), [7], [[]], ((),), [[], [1]], ((1, 2), [3]), [[[0, 1], []], [[1]]], [[[]]], [0, [1], []]],
+    [[], (), [7], [[]], ((),), [[], [1]], ((1, 2), [3]), [[[0, 1], []], [[1]]], [[[]]], [[0], [1], []]],
 )
 @pytest.mark.parametrize("depth", [0, 1, 3])
 def test_header_writer_matches_indented_json_dumps(value, depth):
@@ -430,13 +432,10 @@ def test_header_writer_matches_indented_json_dumps(value, depth):
 
 
 def test_header_writer_text_does_not_depend_on_earlier_calls(monkeypatch):
-    # ints are written through a table that fills as it goes, but a hand-built
-    # bool entry, equal to 0 or 1, is written by the per-item writer, as
-    # json.dumps writes it, whether or not the table holds 1 and 0
+    # ints are written through a table that fills as it goes
     monkeypatch.setattr(presentation, "_int_text", presentation._IntTexts().__getitem__)
-    values = [[True, False], [True], ((1, True), [0]), [2, 1, 0], ((0, 1), (1, 0))]
+    values = [[2, 1, 0], ((0, 1), (1, 0)), ((1, 2), [0])]
     first = [_indented_json(v, 1) for v in values]
-    assert first[0] == "[\n  true,\n  false\n ]"
     assert [_indented_json(v, 1) for v in values] == first
     assert [_indented_json(v, 1) for v in reversed(values)] == first[::-1]
 
@@ -826,7 +825,7 @@ def _reference_rule_map(table, coloring):
                     rhs = (("s", table.mul(lhs[0][1], lhs[1][1])),)
                 elif family == "B":
                     bit = coloring_entry(n, lhs[0][1], lhs[1][1], lhs[2][1])
-                    assert coloring.get(lhs[0][1], lhs[1][1], lhs[2][1]) == bit
+                    assert _bit(coloring, lhs[0][1], lhs[1][1], lhs[2][1]) == bit
                     rhs = EMPTY_WORD if bit else ZERO_WORD
                 else:
                     rhs = ZERO_WORD
@@ -850,40 +849,135 @@ def test_each_shape_is_filled_as_the_per_rule_reference(tables):
 
 
 _Z2 = builtin("z2")
-_Z2_COLORING = build_coloring(2)
+_Z2_BITS = build_coloring(2).bits
+# the field that each case sets to an array of the wrong shape, the array,
+# and the message of the ValueError that the value raises when made
 _BAD_SHAPES = {
-    "extra-table-row": (CayleyTable(2, _Z2.rows + ((1, 2),)), _Z2_COLORING, "table must be a 2x2 array"),
-    "long-table-row": (CayleyTable(2, (_Z2.rows[0] + (1,), _Z2.rows[1])), _Z2_COLORING, "table must be a 2x2 array"),
-    "short-table": (CayleyTable(2, _Z2.rows[:1]), _Z2_COLORING, "table must be a 2x2 array"),
+    "extra-table-row": ("rows", _Z2.rows + ((1, 2),), "table must be a 2x2 array"),
+    "long-table-row": ("rows", (_Z2.rows[0] + (1,), _Z2.rows[1]), "table must be a 2x2 array"),
+    "short-table": ("rows", _Z2.rows[:1], "table must be a 2x2 array"),
     "long-coloring-fiber": (
-        _Z2,
-        Coloring(2, ((_Z2_COLORING.bits[0][0] + (0,), _Z2_COLORING.bits[0][1]), *_Z2_COLORING.bits[1:])),
+        "bits",
+        ((_Z2_BITS[0][0] + (0,), _Z2_BITS[0][1]), *_Z2_BITS[1:]),
         "coloring must be a 3x2x3 array",
     ),
-    "extra-coloring-plane": (
-        _Z2,
-        Coloring(2, _Z2_COLORING.bits + _Z2_COLORING.bits[:1]),
-        "coloring must be a 3x2x3 array",
-    ),
-    "extra-coloring-row": (
-        _Z2,
-        Coloring(2, tuple(plane + plane[:1] for plane in _Z2_COLORING.bits)),
-        "coloring must be a 3x2x3 array",
-    ),
+    "extra-coloring-plane": ("bits", _Z2_BITS + _Z2_BITS[:1], "coloring must be a 3x2x3 array"),
+    "extra-coloring-row": ("bits", tuple(plane + plane[:1] for plane in _Z2_BITS), "coloring must be a 3x2x3 array"),
 }
 
 
 @pytest.mark.parametrize("case", _BAD_SHAPES)
 def test_a_table_or_coloring_of_the_wrong_shape_generates_nothing(case):
-    # each raises its ValueError before any entry is read (an extra row or a
-    # long fiber once gave 48 rules, a long row or an extra plane an
-    # IndexError); the fill itself, unchecked, refuses the wrong number of
-    # right sides rather than shifting them
-    table, coloring, message = _BAD_SHAPES[case]
+    # each value refuses its shape when made, so nothing is generated (an
+    # extra row or a long fiber once gave 48 rules, a long row or an extra
+    # plane an IndexError); the fill itself, unchecked and fed a plain
+    # stand-in that holds the array, refuses the wrong number of right sides
+    # rather than shifting them
+    field, array, message = _BAD_SHAPES[case]
     with pytest.raises(ValueError, match=f"^{message}$"):
-        generate_presentation(table, coloring)
+        (CayleyTable if field == "rows" else Coloring)(2, array)
+    stand_in = SimpleNamespace(**{"n": 2, "rows": _Z2.rows, "bits": _Z2_BITS, field: array})
     with pytest.raises(ValueError, match="zip"):
-        _rule_map(table, coloring)
+        _rule_map(stand_in, stand_in)
+
+
+def _with_bit(bits, bit):
+    # bits with the first one replaced by bit
+    return (((bit, *bits[0][0][1:]), *bits[0][1:]), *bits[1:])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # once IndexError from generate_presentation
+        (lambda: CayleyTable(2, ((1, 3), (2, 1))), "table entry 3 is not an integer in 1..2"),
+        # once NotAssociativeError at (1, 1, 2): the index -1 wrapped round
+        (lambda: CayleyTable(2, ((1, 0), (2, 1))), "table entry 0 is not an integer in 1..2"),
+        # once TypeError, as from a table of the string "1"
+        (lambda: CayleyTable(1, ((1.0,),)), "table entry 1.0 is not an integer in 1..1"),
+        (lambda: CayleyTable(1, "1"), "table must be a 1x1 array"),
+        # once ColoringConditionError, "coloring fails C1, C2"
+        (lambda: Coloring(2, _with_bit(_Z2_BITS, 2)), "coloring entry 2 is not an integer in 0..1"),
+        # together, once a Presentation of order 0
+        (lambda: CayleyTable(0, ()), "n must be a positive integer, got 0"),
+        (lambda: Coloring(0, ((),)), "n must be a positive integer, got 0"),
+    ],
+    ids=["table-entry-3", "table-entry-0", "table-entry-1.0", "table-of-a-string", "bit-2", "order-0-table",
+         "order-0-coloring"],
+)
+def test_a_value_that_once_got_past_the_checks_raises_when_made(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as e:
+        make()
+    assert type(e.value) is ValueError
+
+
+_NOT_ARRAYS = (5, 1.5, "12", b"12", None, True, {1: 2}, {1, 2}, range(2), iter([1, 2]))
+_NOT_ENTRIES = (True, False, 1.0, 0.0, float("nan"), "1", None, (1,), [1], 1j, 10**20, -(10**20))
+
+
+def _malformed(rng, n, array, depth, lo, hi):
+    # (kind, order, array): one seeded fault in a well-formed array of order
+    # n, depth levels deep with entries in lo..hi, as nested lists: an order
+    # that is not an int >= 1, an array at some level that is not a list or
+    # tuple, an entry that is not an int (a bool, float or str among them)
+    # or not in lo..hi, or an array at some level one item long or short
+    kind = rng.choice(("order", "not-an-array", "entry", "ragged"))
+    if kind == "order":
+        return kind, rng.choice((0, -1, -n, True, False, float(n), str(n), None)), array
+    value = json.loads(json.dumps(array))
+
+    def array_at(level):
+        node = value
+        for _ in range(level):
+            node = node[rng.randrange(len(node))]
+        return node
+
+    if kind == "ragged":
+        node = array_at(rng.randrange(depth))
+        i = rng.randrange(len(node))
+        node.append(node[i]) if rng.random() < 0.5 else node.pop(i)
+        return kind, n, value
+    # the level of the item replaced: 0 is the whole array, depth an entry
+    level = depth if kind == "entry" else rng.randrange(depth)
+    bad = rng.choice(_NOT_ARRAYS if kind == "not-an-array" else (*_NOT_ENTRIES, lo - 1, hi + 1, hi + 9))
+    if level == 0:
+        return kind, n, bad
+    node = array_at(level - 1)
+    node[rng.randrange(len(node))] = bad
+    return kind, n, value
+
+
+def test_a_seeded_sweep_of_malformed_values_raises_value_error_alone():
+    # each value raises ValueError and nothing else, with one of the
+    # documented messages; the loader, given it in the header of a file,
+    # raises the message of the value made from the decoded header, prefixed
+    rng = random.Random(27)
+    kinds = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        good = {"table": _cyclic(n).rows, "coloring": build_coloring(n).bits}
+        if rng.random() < 0.5:
+            cls, field, depth, lo, hi = CayleyTable, "table", 2, 1, n
+        else:
+            cls, field, depth, lo, hi = Coloring, "coloring", 3, 0, 1
+        kind, order, value = _malformed(rng, n, good[field], depth, lo, hi)
+        kinds[kind] += 1
+        with pytest.raises(ValueError) as e:
+            cls(order, value)
+        assert type(e.value) is ValueError
+        documented = rf"n must be a positive integer, got .*|{field} must be a \d+x\d+(x\d+)? array"
+        assert re.fullmatch(rf"{documented}|{field} entry .* is not an integer in {lo}\.\.{hi}", str(e.value))
+        try:
+            text = json.dumps({"n": order, **good, field: value, "rules": []}, indent=1)
+        except TypeError:
+            continue  # a value that JSON cannot hold
+        header = json.loads(text)
+        with pytest.raises(ValueError) as decoded:
+            cls(header["n"], header[field])
+        with pytest.raises(ValueError) as loaded:
+            presentation_from_json(text)
+        assert str(loaded.value) == f"invalid presentation file: {decoded.value}"
+    assert min(kinds.values()) > 400
 
 
 def test_the_rules_text_of_a_call_does_not_depend_on_earlier_calls():
@@ -898,21 +992,15 @@ def test_the_rules_text_of_a_call_does_not_depend_on_earlier_calls():
     assert list(map(presentation_to_json, reversed(values))) == first[::-1]
 
 
-def _with_bool_bits(p):
-    # p's coloring with each bit as the bool it equals, as a caller may build it
-    bits = tuple(tuple(tuple(map(bool, fiber)) for fiber in plane) for plane in p.coloring.bits)
-    return generate_presentation(p.table, Coloring(p.n, bits))
-
-
 @pytest.mark.parametrize("name", ["trivial", "z2"])
-def test_bool_entries_are_written_as_json_and_refused_on_load(name):
-    q = _with_bool_bits(_pres(name))
-    text = presentation_to_json(q)
-    assert json.loads(text)["coloring"] == [[list(f) for f in plane] for plane in q.coloring.bits]
-    assert text == _reference_json(q)
-    assert '"coloring": [\n  [\n   [\n    true,' in text
-    with pytest.raises(ValueError, match="^invalid presentation file: coloring entry True is not an integer in 0..1$"):
-        presentation_from_json(text)
+def test_a_coloring_of_bools_raises_value_error(name):
+    # each bit as the bool it equals, as a caller may build it: a bool is not
+    # an exact int, so the value refuses it when made (it was once generated,
+    # written as JSON true and false, and refused only on load)
+    p = _pres(name)
+    bits = tuple(tuple(tuple(map(bool, fiber)) for fiber in plane) for plane in p.coloring.bits)
+    with pytest.raises(ValueError, match="^coloring entry True is not an integer in 0..1$"):
+        Coloring(p.n, bits)
 
 
 def test_only_a_value_made_otherwise_derives_its_runs_on_first_use(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -30,6 +31,7 @@ from cfmonoid.witness import (
     unit_context,
     verify_trace,
 )
+from test_coloring import _bit
 
 TERMINAL = ((EMPTY_WORD, ZERO_WORD), (ZERO_WORD, EMPTY_WORD))
 
@@ -415,7 +417,7 @@ def _least_reference(p, hit):
 def _unit_context_reference(w, p):
     if w == ZERO_WORD:
         raise ValueError("the zero word has no unit context")
-    f = p.coloring.get
+    f = partial(_bit, p.coloring)
     prefix, rest = decompose(w, p)
     b = []
     while rest:
@@ -474,7 +476,7 @@ def _collapse_reference(u, v, p):
         raise ValueError("identical inputs generate no congruence")
     _check_normal(u, p, "left word")
     _check_normal(v, p, "right word")
-    f = p.coloring.get
+    f = partial(_bit, p.coloring)
     steps = [WitnessStep((u, v), ("GEN",))]
     left, right = u, v
 
