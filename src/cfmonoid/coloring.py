@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .semigroup import _check_int_array
+from .semigroup import _check_int_array, _check_n
 
 CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6")
 
@@ -54,8 +54,9 @@ def build_coloring(n: int) -> Coloring:
     Slice j (orthogonal to the s-axis) is an (n+1) x (n+1) matrix with rows
     indexed by the x-index and columns by the y-index.  Its first column holds
     j ones followed by zeros; every later column is the cyclic shift of the
-    previous one.
+    previous one.  n is checked first, as Coloring checks it.
     """
+    _check_n(n)
     size = n + 1
     slices = []  # slices[j-1][i-1][k-1]
     for j in range(1, n + 1):

@@ -163,6 +163,21 @@ class Rule:
         return _family(self.lhs)
 
 
+def _check_orders(n, table, coloring) -> None:
+    if not n == table.n == coloring.n:
+        raise ValueError(f"order mismatch: n={n}, table n={table.n}, coloring n={coloring.n}")
+
+
+def _check_lengths(rules) -> None:
+    # ValueError naming the first (lhs, rhs) of rules of a shape the engine is not built for
+    for lhs, rhs in rules:
+        if len(lhs) not in (2, 3) or len(rhs) > 1:
+            raise ValueError(
+                "rule must be length-reducing with a left side of 2 or 3 letters and a right side"
+                f" of at most 1: {format_word(lhs)} -> {format_word(rhs)}"
+            )
+
+
 class NotAssociativeError(ValueError):
     """The Cayley table fails associativity; carries the first violating triple."""
 
@@ -185,10 +200,10 @@ class Presentation:
     """The rewriting system for order n: lhs_map, left side -> right side in rule order, is its rule set.
 
     A table or coloring whose order is not n, a left side not of 2 or 3
-    letters, or a right side longer than 1, raises ValueError.  The map it
-    is given is copied, so no caller holds the dict under lhs_map.  The
-    generator and the loader keep the runs they fill with the value they
-    return (_runs); any other value derives them on first read.
+    letters, or a right side longer than 1, raises ValueError.  A map handed
+    in from outside is copied and checked per rule, so no caller holds the
+    dict under lhs_map; a map the generator or loader fills is owned,
+    checked per shape, and keeps its runs (_generate_unchecked).
     """
 
     n: int
@@ -197,22 +212,13 @@ class Presentation:
     lhs_map: MappingProxyType
 
     def __post_init__(self):
-        if not self.n == self.table.n == self.coloring.n:
-            raise ValueError(
-                f"order mismatch: n={self.n}, table n={self.table.n}, coloring n={self.coloring.n}"
-            )
+        _check_orders(self.n, self.table, self.coloring)
         lhs_map = MappingProxyType(dict(self.lhs_map))
         object.__setattr__(self, "lhs_map", lhs_map)
-        # the lengths of all rules are checked at once; the walk below only
-        # names the first bad rule
-        if set(map(len, lhs_map)) <= {2, 3} and set(map(len, lhs_map.values())) <= {0, 1}:
-            return
-        for lhs, rhs in lhs_map.items():
-            if len(lhs) not in (2, 3) or len(rhs) > 1:
-                raise ValueError(
-                    "rule must be length-reducing with a left side of 2 or 3 letters and a right side"
-                    f" of at most 1: {format_word(lhs)} -> {format_word(rhs)}"
-                )
+        # the lengths of all rules are checked at once; the walk only names
+        # the first bad rule
+        if not (set(map(len, lhs_map)) <= {2, 3} and set(map(len, lhs_map.values())) <= {0, 1}):
+            _check_lengths(lhs_map.items())
 
     @property
     def rules(self) -> tuple:
@@ -251,33 +257,40 @@ class Presentation:
         share all letters but the last (head) and the role of the last, so
         it has one family; lasts are the last letters of its left sides,
         and its right sides are the next len(lasts) values of lhs_map.
-        _generate_unchecked and presentation_from_json store the runs that
-        _rule_map fills; any other value (a map built by hand, or one from
-        dataclasses.replace) derives them on first read through the
-        module's _runs.  Like _by_last_two, they are kept outside the fields.
+        _generate_unchecked stores the runs that _rule_map fills; any other
+        value derives them on first read through the module's _runs.  Like
+        _by_last_two, they are kept outside the fields.
         """
         return tuple(_runs(self.lhs_map))
 
 
-def _right_sides(family: str, table: CayleyTable, coloring: Coloring, count: int):
-    # the construction's right sides of a shape's count left sides, in
-    # lexicographic order of the left sides: for A (s_i s_j) the products
-    # s_t(i, j), the table's rows flattened through the tuple (None, (s_1,),
-    # ..., (s_n,)), as entries count from 1; for B (x_i s_j y_k) the
-    # coloring's bits f(i, j, k), flattened in (i, j, k) order, through
-    # _B_RHS; and 0 for the rest
+def _right_sides(family: str, table: CayleyTable, coloring: Coloring, count: int) -> tuple:
+    # the right sides that a shape's family can give, and those of its count
+    # left sides in lexicographic order: for A (s_i s_j) the products
+    # s_t(i, j), the table's rows flattened through (None, (s_1,), ...,
+    # (s_n,)), as entries count from 1; for B (x_i s_j y_k) the coloring's
+    # bits f(i, j, k), flattened in (i, j, k) order, through _B_RHS; and 0
+    # for the rest
     if family == "A":
-        products = (None, *((a,) for a in _letters(table.n).values() if a[0] == "s"))
-        return map(products.__getitem__, chain.from_iterable(table.rows))
+        products = tuple((a,) for a in _letters(table.n).values() if a[0] == "s")
+        return products, map((None, *products).__getitem__, chain.from_iterable(table.rows))
     if family == "B":
-        return map(_B_RHS.__getitem__, chain.from_iterable(chain.from_iterable(coloring.bits)))
-    return repeat(ZERO_WORD, count)
+        return _B_RHS, map(_B_RHS.__getitem__, chain.from_iterable(chain.from_iterable(coloring.bits)))
+    return (ZERO_WORD,), repeat(ZERO_WORD, count)
 
 
-def _generate_unchecked(table: CayleyTable, coloring: Coloring) -> Presentation:
-    """The presentation of _rule_map's rules, with no check of the table or coloring, and its runs kept."""
+def _generate_unchecked(table: CayleyTable, coloring: Coloring, a_right_sides=()) -> Presentation:
+    """The presentation of _rule_map's rules and runs, a_right_sides (at most 1 letter) over its A products.
+
+    Only the orders are checked.  The one constructor over a map this module
+    fills: the dict, which no one else holds, is wrapped with no copy or check per rule.
+    """
+    _check_orders(table.n, table, coloring)
     lhs_map, runs = _rule_map(table, coloring)
-    return _with_runs(Presentation(table.n, table, coloring, lhs_map), runs)
+    lhs_map.update(a_right_sides)
+    p = object.__new__(Presentation)
+    p.__dict__.update(n=table.n, table=table, coloring=coloring, lhs_map=MappingProxyType(lhs_map), _runs=tuple(runs))
+    return p
 
 
 def _rule_map(table: CayleyTable, coloring: Coloring) -> tuple:
@@ -287,12 +300,13 @@ def _rule_map(table: CayleyTable, coloring: Coloring) -> tuple:
     of the letters of each role in lexicographic order, zipped with
     _right_sides for its family, so no Python code runs per rule or per
     head.  The zip is strict, so a table or coloring of the wrong shape
-    raises ValueError rather than shifting the right sides.  The runs, one
-    per head (all letters but the last), are zipped the same way.  Returns
-    the map and the list of its runs as Presentation._runs holds them; the
-    runs of a shape share one tuple of last letters.  All words share one
-    tuple per letter: the letters of _letters(n), which the A right sides
-    that the loader reads share too.
+    raises ValueError rather than shifting the right sides.  Presentation's
+    length check runs once per shape, on its first left side with each right
+    side its family can give.  The runs, one per head (all letters but the
+    last), are zipped the same way.  Returns a new dict and the list of its
+    runs as Presentation._runs holds them; the runs of a shape share one
+    tuple of last letters.  All words share one tuple per letter: the
+    letters of _letters(n), which the loader's A right sides share too.
     """
     letters = _letters(table.n).values()
     of_role = {role: tuple(a for a in letters if a[0] == role) for role in "sxyz"}
@@ -300,15 +314,11 @@ def _rule_map(table: CayleyTable, coloring: Coloring) -> tuple:
     for shape, family in _FAMILY_OF_SHAPE.items():
         roles = [of_role[role] for role in shape]
         count = prod(map(len, roles))
-        lhs_map.update(zip(product(*roles), _right_sides(family, table, coloring, count), strict=True))
+        palette, right_sides = _right_sides(family, table, coloring, count)
+        _check_lengths(zip(repeat(next(product(*roles))), palette))
+        lhs_map.update(zip(product(*roles), right_sides, strict=True))
         runs += zip(repeat(family), product(*roles[:-1]), repeat(roles[-1]))
     return lhs_map, runs
-
-
-def _with_runs(p: Presentation, runs) -> Presentation:
-    # p with runs, which cut p.lhs_map as _runs does, kept as its _runs
-    p.__dict__["_runs"] = tuple(runs)
-    return p
 
 
 def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
@@ -316,8 +326,7 @@ def _check_table_and_coloring(table: CayleyTable, coloring: Coloring) -> None:
     # entries: one order (else ValueError), an associative table (else
     # NotAssociativeError) and a coloring that passes C1..C6 (else
     # ColoringConditionError with the full report)
-    if table.n != coloring.n:
-        raise ValueError(f"order mismatch: table n={table.n}, coloring n={coloring.n}")
+    _check_orders(table.n, table, coloring)
     ok, triple = is_associative(table)
     if not ok:
         raise NotAssociativeError(triple)
@@ -529,14 +538,13 @@ def presentation_from_json(text: str) -> Presentation:
     table, coloring = _table_and_coloring(_decode_header(text))
     _check_table_and_coloring(table, coloring)
     pos = _expect(text, 0, _json_header(table, coloring))
-    lhs_map, runs = _rule_map(table, coloring)
-    lhs_map.update(_stored_a_right_sides(text, pos, lhs_map, table.n))
-    for part in _json_rules(runs, lhs_map):
+    p = _generate_unchecked(table, coloring, _stored_a_right_sides(text, pos, table.n))
+    for part in _json_rules(p._runs, p.lhs_map):
         pos = _expect(text, pos, part)
     trailer = text[pos:]
     if trailer.strip(" \t\n\r"):
         raise _differs(text, len(text) - len(trailer.lstrip(" \t\n\r")), "JSON whitespace")
-    return _with_runs(Presentation(table.n, table, coloring, lhs_map), runs)
+    return p
 
 
 def _decode_header(text: str):
@@ -546,20 +554,24 @@ def _decode_header(text: str):
     end = text.find('"rules"')
     try:
         return json.loads(text[:end] + '"rules": null}' if end >= 0 else text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        # RecursionError: arrays or objects nested too deeply to decode
+    except (ValueError, RecursionError) as e:
+        # ValueError: also an int of too many digits; RecursionError: arrays
+        # or objects nested too deeply to decode
         raise ValueError(f"invalid presentation JSON: {e}") from None
 
 
-def _stored_a_right_sides(text: str, pos: int, lhs_map: dict, n: int) -> dict:
+def _stored_a_right_sides(text: str, pos: int, n: int) -> dict:
     # the A rules' right sides as the file from pos stores them.  build writes
-    # the n*n A rules first, so the word after each of the next n*n '"rhs": '
-    # keys is read, as the text that _json_word writes for [] or one letter;
-    # a rule whose word reads as neither keeps its generated right side,
-    # which the compare then finds differs
-    words = {_json_word(w): w for w in (EMPTY_WORD, *((a,) for a in _letters(n).values()))}
+    # the n*n A rules s_i s_j first, so the word after each of the next n*n
+    # '"rhs": ' keys is read, as the text that _json_word writes for [] or
+    # one letter (the table's words are checked); a rule whose word reads as
+    # neither keeps its generated right side, which the compare finds differs
+    letters = _letters(n).values()
+    words = {_json_word(w): w for w in (EMPTY_WORD, *((a,) for a in letters))}
+    s_letters = [a for a in letters if a[0] == "s"]
+    _check_lengths(zip(repeat((s_letters[0],) * 2), words.values()))
     stored = {}
-    for lhs in islice(lhs_map, n * n):
+    for lhs in product(s_letters, repeat=2):
         pos = text.find(_RHS_KEY, pos)
         if pos < 0:
             break

@@ -7,13 +7,18 @@ from itertools import chain
 from operator import itemgetter
 
 
+def _check_n(n) -> None:
+    # ValueError unless n is an exact int >= 1, the order of a table or coloring
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
 def _check_int_array(name: str, n, value, pad: tuple, lo: int, hi) -> None:
     # ValueError unless n is an exact int >= 1 and value nested lists or
     # tuples of shape n + p for each p of pad, every entry an exact int in
     # lo..hi.  The tests are set tests over C-level iterators; only a failed
     # one runs Python code per entry, to name the first bad one
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     shape = tuple(n + p for p in pad)
     level = (value,)
     for size in shape:

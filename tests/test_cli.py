@@ -790,6 +790,21 @@ def test_a_crlf_copy_of_builds_file_loads(z2_pres, tmp_path, capsys, command):
     assert capsys.readouterr() == built
 
 
+@pytest.mark.parametrize("field", ["n", "table-entry"])
+def test_an_int_of_5001_digits_in_the_header_exits_2_as_invalid_json(z2_pres, tmp_path, capsys, field):
+    # json's own ValueError for an int past the interpreter's digit limit
+    # gets the loader's prefix, like any other decode fault
+    text = z2_pres.read_text()
+    before = '"n": ' if field == "n" else '"table": [\n  [\n   '
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace(before + text[text.index(before) + len(before)], before + "7" * 5001, 1))
+    capsys.readouterr()
+    rc = main(["check-embed", "--pres", str(bad)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err.startswith("error: invalid presentation JSON: Exceeds the limit (4300 digits)")
+
+
 @pytest.mark.parametrize("command", _PRES_COMMANDS, ids=lambda argv: argv[0])
 def test_json_nested_too_deeply_to_decode_exits_2(tmp_path, capsys, command):
     (tmp_path / "bad.json").write_text("[" * 100_000 + "]" * 100_000)

@@ -131,9 +131,10 @@ def test_constructed_coloring_passes_conditions(n):
 
 
 def test_build_coloring_rejects_bad_n():
-    # the value's own check, which names the order asked for
-    for n in (0, -3):
-        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n}$"):
+    # the value's own check, which names the order asked for; it runs before
+    # n + 1 is computed, so a float, a string or None raises it too
+    for n in (0, -3, True, 2.0, "3", None):
+        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {re.escape(repr(n))}$"):
             build_coloring(n)
 
 

@@ -808,6 +808,94 @@ def test_generated_and_loaded_presentations_keep_the_runs_of_their_map(tables):
             assert presentation_to_json(r) == _reference_json(r)
 
 
+def _owned_dict(p):
+    # the dict that p.lhs_map, a MappingProxyType, wraps: its one referent
+    (d,) = gc.get_referents(p.lhs_map)
+    assert type(d) is dict
+    return d
+
+
+def _loads_with_a_right_sides(text, n, rhss):
+    # build's text loaded once per rhs of rhss, the first and the last A rule's
+    # right side set to it
+    data = json.loads(text)
+    for rhs in rhss:
+        for r in (data["rules"][0], data["rules"][n * n - 1]):
+            assert r["family"] == "A"
+            r["rhs"] = rhs
+        yield presentation_from_json(json.dumps(data, indent=1) + "\n")
+
+
+@pytest.mark.parametrize("tables", [*_RUN_TABLES, 4], ids=[*_RUN_TABLES, "order-4-classes"])
+def test_a_generated_or_loaded_presentation_owns_the_map_it_fills(tables):
+    # generation and the loader wrap the dict they fill, with no copy and no
+    # check per rule.  Each value equals the one that the public constructor
+    # copies and checks rule by rule from its map, keeps the runs of its map,
+    # and holds a dict of its own: no two generations or loads of one input
+    # share one.  A name is one table, loaded with its first and last A right
+    # sides set to [] and to each letter in turn; 4 is one table per
+    # isomorphism class of order 4, loaded as built and with [] there
+    named = tables in _RUN_TABLES
+    for rows in [_RUN_TABLES[tables].rows] if named else _classes(tables):
+        table, coloring = CayleyTable(len(rows), rows), build_coloring(len(rows))
+        generated = [generate_presentation(table, coloring), _generate_unchecked(table, coloring)]
+        text = presentation_to_json(generated[0]) + "\n"
+        rhss = [[], *([_token(a)] for a in alphabet(table.n, include_zero=True))] if named else [[]]
+        loaded = [*map(presentation_from_json, (text, text)), *_loads_with_a_right_sides(text, table.n, rhss)]
+        first = next(iter(generated[0].lhs_map))
+        assert [q.lhs_map[first] for q in loaded[2:]] == [parse_word(" ".join(rhs) or "1", table.n) for rhs in rhss]
+        values = generated + loaded
+        assert len(values) == 4 + len(rhss)
+        for p in values:
+            assert type(p.lhs_map) is MappingProxyType
+            assert p == Presentation(p.n, p.table, p.coloring, p.lhs_map)
+            assert p._runs == tuple(_runs(p.lhs_map))
+        assert len({id(_owned_dict(p)) for p in values}) == len(values)
+
+
+_TWO_LETTERS = (("s", 1), ("s", 1))
+# a change to the rule set's definition that would make rules the engine is
+# not built for, and the first rule that the per-shape check names
+_OVERLONG = {
+    "4-role-shape": (lambda mp: mp.setitem(presentation._FAMILY_OF_SHAPE, ("x",) * 4, "C"), "x1 x1 x1 x1 -> 0"),
+    "2-letter-B-right-side": (
+        lambda mp: mp.setattr(presentation, "_B_RHS", (ZERO_WORD, _TWO_LETTERS)),
+        "x1 s1 y1 -> s1 s1",
+    ),
+    "2-letter-zero-word": (lambda mp: mp.setattr(presentation, "ZERO_WORD", _TWO_LETTERS), "x1 y1 -> s1 s1"),
+}
+_LENGTHS = "^rule must be length-reducing with a left side of 2 or 3 letters and a right side of at most 1: "
+
+
+@pytest.mark.parametrize("case", _OVERLONG)
+def test_a_shape_or_right_side_of_the_wrong_length_is_refused_where_the_map_is_made(monkeypatch, case):
+    # the owned path checks each shape's first left side with the right sides
+    # its family can give, with Presentation's message, before the fill
+    patch, rule = _OVERLONG[case]
+    text = _build_file("z2")
+    patch(monkeypatch)
+    for make in (lambda: _generate_unchecked(_Z2, build_coloring(2)), lambda: presentation_from_json(text)):
+        with pytest.raises(ValueError, match=_LENGTHS + re.escape(rule) + "$"):
+            make()
+
+
+def test_the_loader_refuses_a_stored_a_word_of_two_letters(monkeypatch):
+    # the loader's table of the A right sides a file may store is checked to
+    # hold [] and single letters alone
+    text = _build_file("z2")
+    monkeypatch.setattr(presentation, "EMPTY_WORD", _TWO_LETTERS)
+    with pytest.raises(ValueError, match=_LENGTHS + "s1 s1 -> s1 s1$"):
+        presentation_from_json(text)
+
+
+def test_unchecked_generation_checks_the_orders_before_it_fills():
+    # else the fill's strict zip would fail first, with no word of the orders
+    for table, coloring in ((_Z2, build_coloring(3)), (builtin("z3"), build_coloring(2))):
+        message = f"^order mismatch: n={table.n}, table n={table.n}, coloring n={coloring.n}$"
+        with pytest.raises(ValueError, match=message):
+            _generate_unchecked(table, coloring)
+
+
 def _reference_rule_map(table, coloring):
     # the construction rule by rule, the reference for _rule_map's per-shape
     # fill: each shape of _FAMILY_OF_SHAPE in its order, the left sides in
